@@ -8,9 +8,10 @@
 //   - any call into package fmt (formatting allocates and reflects);
 //   - non-constant string concatenation (allocates per evaluation);
 //   - map allocation — make(map...) or a map composite literal;
-//   - append inside a loop whose destination was not preallocated with a
-//     three-argument make in the same function (unbounded growth reallocates
-//     mid-kernel).
+//   - append inside a loop whose destination was not preallocated in the
+//     same function (unbounded growth reallocates mid-kernel). Preallocated
+//     means a three-argument make, or a zero-length reslice of an existing
+//     slice (x := sc.buf[:0]), which reuses that slice's capacity.
 //
 // Cold code is untouched: the annotation is the contract, placed next to the
 // kernels in their doc comments.
@@ -67,7 +68,7 @@ type span struct{ lo, hi token.Pos }
 func checkHot(pass *analysis.Pass, fn *ast.FuncDecl) {
 	// Loop bodies, for the append rule.
 	var loops []span
-	// Objects preallocated by a 3-argument make in this function.
+	// Objects preallocated in this function.
 	prealloc := make(map[types.Object]bool)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch s := n.(type) {
@@ -84,7 +85,7 @@ func checkHot(pass *analysis.Pass, fn *ast.FuncDecl) {
 				if !ok {
 					continue
 				}
-				if call, ok := rhs.(*ast.CallExpr); ok && isBuiltin(pass, call, "make") && len(call.Args) == 3 {
+				if preallocates(pass, rhs) {
 					if obj := identObj(pass, id); obj != nil {
 						prealloc[obj] = true
 					}
@@ -95,7 +96,7 @@ func checkHot(pass *analysis.Pass, fn *ast.FuncDecl) {
 				if i >= len(s.Names) {
 					break
 				}
-				if call, ok := v.(*ast.CallExpr); ok && isBuiltin(pass, call, "make") && len(call.Args) == 3 {
+				if preallocates(pass, v) {
 					if obj := identObj(pass, s.Names[i]); obj != nil {
 						prealloc[obj] = true
 					}
@@ -160,6 +161,25 @@ func checkHot(pass *analysis.Pass, fn *ast.FuncDecl) {
 		}
 		return true
 	})
+}
+
+// preallocates reports whether e yields a slice with capacity set aside:
+// make with an explicit cap, or a zero-length reslice (x[:0], x[0:0],
+// x[:0:n]) that keeps x's capacity for reuse.
+func preallocates(pass *analysis.Pass, e ast.Expr) bool {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.CallExpr:
+		return isBuiltin(pass, e, "make") && len(e.Args) == 3
+	case *ast.SliceExpr:
+		return e.High != nil && isZero(pass, e.High) && (e.Low == nil || isZero(pass, e.Low))
+	}
+	return false
+}
+
+// isZero reports whether e is the constant 0.
+func isZero(pass *analysis.Pass, e ast.Expr) bool {
+	tv, ok := pass.TypesInfo.Types[e]
+	return ok && tv.Value != nil && tv.Value.String() == "0"
 }
 
 // fmtCallee returns the function name if call targets package fmt.

@@ -56,12 +56,12 @@ type unionFind struct {
 	parent []int
 }
 
-func newUnionFind(n int) *unionFind {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
+// reset makes n singleton sets, reusing the parent array.
+func (u *unionFind) reset(n int) {
+	u.parent = resize(u.parent, n)
+	for i := range u.parent {
+		u.parent[i] = i
 	}
-	return &unionFind{parent: p}
 }
 
 func (u *unionFind) find(x int) int {
@@ -82,8 +82,34 @@ func (u *unionFind) union(a, b int) {
 	}
 }
 
+// resize returns buf with length n, reallocating only when it is too small.
+func resize(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	return buf[:n]
+}
+
+// Scratch is ClusterSeeds' reusable working memory: the sort order and
+// backbone coordinates, the union-find, the root-grouped seed indices that
+// back every cluster's SeedIdx, and the cluster list itself. A Scratch is
+// not safe for concurrent use.
+type Scratch struct {
+	order, coord, byRoot []int
+	uf                   unionFind
+	clusters             []Cluster
+}
+
 // ClusterSeeds groups the seeds of one read. readIdx identifies the read for
-// the instrumentation address map; probe may be nil.
+// the instrumentation address map; probe may be nil. The result is owned by
+// the caller; Scratch.ClusterSeeds is the allocation-free form.
+func ClusterSeeds(ix *distindex.Index, ss []seeds.Seed, p Params, probe counters.Probe, readIdx int) []Cluster {
+	return new(Scratch).ClusterSeeds(ix, ss, p, probe, readIdx)
+}
+
+// ClusterSeeds runs the clustering kernel in s's buffers. The returned
+// clusters and their SeedIdx slices alias s: they stay valid until the next
+// call on s.
 //
 // The algorithm sorts seeds by orientation and projected backbone
 // coordinate, then unions each seed with its nearby neighbours whenever
@@ -91,15 +117,16 @@ func (u *unionFind) union(a, b int) {
 // only: a forward and a reverse seed never share a cluster.
 //
 //minigiraffe:hot
-func ClusterSeeds(ix *distindex.Index, ss []seeds.Seed, p Params, probe counters.Probe, readIdx int) []Cluster {
+func (s *Scratch) ClusterSeeds(ix *distindex.Index, ss []seeds.Seed, p Params, probe counters.Probe, readIdx int) []Cluster {
 	p = p.normalize()
 	if len(ss) == 0 {
 		return nil
 	}
 	g := ix.Graph()
 	// Sort seed indices by (orientation, backbone coordinate).
-	order := make([]int, len(ss))
-	coord := make([]int, len(ss))
+	order := resize(s.order, len(ss))
+	coord := resize(s.coord, len(ss))
+	s.order, s.coord = order, coord
 	for i := range ss {
 		order[i] = i
 		coord[i] = int(g.Backbone(ss[i].Pos.Node)) + int(ss[i].Pos.Off)
@@ -124,7 +151,8 @@ func ClusterSeeds(ix *distindex.Index, ss []seeds.Seed, p Params, probe counters
 		}
 	}
 
-	uf := newUnionFind(len(ss))
+	uf := &s.uf
+	uf.reset(len(ss))
 	for a := 0; a < len(order); a++ {
 		i := order[a]
 		for b := a + 1; b < len(order) && b <= a+p.CheckWindow; b++ {
@@ -148,16 +176,12 @@ func ClusterSeeds(ix *distindex.Index, ss []seeds.Seed, p Params, probe counters
 	}
 
 	// Collect clusters and score them. Ordering seed indices by union-find
-	// root (ties by index) makes every cluster one contiguous run, so the
-	// per-read map the grouping used to allocate is unnecessary and each
-	// SeedIdx slice comes out ascending for free.
-	byRoot := make([]int, len(ss))
-	nGroups := 0
+	// root (ties by index) makes every cluster one contiguous, ascending run
+	// of byRoot, which then backs the cluster's SeedIdx directly.
+	byRoot := resize(s.byRoot, len(ss))
+	s.byRoot = byRoot
 	for i := range byRoot {
 		byRoot[i] = i
-		if uf.find(i) == i {
-			nGroups++
-		}
 	}
 	slices.SortFunc(byRoot, func(a, b int) int {
 		if ra, rb := uf.find(a), uf.find(b); ra != rb {
@@ -165,18 +189,18 @@ func ClusterSeeds(ix *distindex.Index, ss []seeds.Seed, p Params, probe counters
 		}
 		return cmp.Compare(a, b)
 	})
-	out := make([]Cluster, 0, nGroups)
+	out := s.clusters[:0]
 	for lo := 0; lo < len(byRoot); {
 		root := uf.find(byRoot[lo])
 		hi := lo + 1
 		for hi < len(byRoot) && uf.find(byRoot[hi]) == root {
 			hi++
 		}
-		idxs := make([]int, hi-lo)
-		copy(idxs, byRoot[lo:hi])
+		idxs := byRoot[lo:hi:hi]
 		out = append(out, Cluster{SeedIdx: idxs, Score: scoreCluster(ss, idxs)})
 		lo = hi
 	}
+	s.clusters = out
 	// Deterministic order: score descending, then first seed index.
 	slices.SortFunc(out, func(a, b Cluster) int {
 		if a.Score != b.Score {

@@ -240,7 +240,8 @@ func TestProbeAccounting(t *testing.T) {
 // exactClusters computes the ground-truth partition: transitive closure of
 // "graph distance ≤ limit" over all same-orientation seed pairs.
 func exactClusters(ix *distindex.Index, ss []seeds.Seed, limit int) [][]int {
-	uf := newUnionFind(len(ss))
+	var uf unionFind
+	uf.reset(len(ss))
 	for i := 0; i < len(ss); i++ {
 		for j := i + 1; j < len(ss); j++ {
 			if ss[i].Rev != ss[j].Rev {
@@ -300,6 +301,66 @@ func TestWindowedClusteringMatchesExact(t *testing.T) {
 	}
 }
 
+// randomSeedSet draws clumps plus scattered noise of varying size, so a
+// reused Scratch sees both growing and shrinking inputs.
+func randomSeedSet(rng *rand.Rand, ids []vgraph.NodeID) []seeds.Seed {
+	var ss []seeds.Seed
+	for c := rng.Intn(5); c > 0; c-- {
+		center := 200 + rng.Intn(3400)
+		rev := rng.Intn(2) == 1
+		for k := 0; k < 1+rng.Intn(8); k++ {
+			s := seedAt(ids, 16, center+rng.Intn(150), float32(1+rng.Intn(3)), int32(rng.Intn(140)))
+			s.Rev = rev
+			ss = append(ss, s)
+		}
+	}
+	for k := rng.Intn(6); k > 0; k-- {
+		ss = append(ss, seedAt(ids, 16, rng.Intn(3900), 1, int32(rng.Intn(140))))
+	}
+	return ss
+}
+
+// TestScratchMatchesFresh checks that one Scratch reused across reads of
+// every size returns exactly what a fresh one does.
+func TestScratchMatchesFresh(t *testing.T) {
+	g, ids := linearGraph(t, 4000, 16)
+	ix := distindex.New(g)
+	rng := rand.New(rand.NewSource(7))
+	var sc Scratch
+	for trial := 0; trial < 200; trial++ {
+		ss := randomSeedSet(rng, ids)
+		want := ClusterSeeds(ix, ss, DefaultParams(), nil, 0)
+		got := sc.ClusterSeeds(ix, ss, DefaultParams(), nil, 0)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: scratch clusters %+v, fresh %+v", trial, got, want)
+		}
+	}
+}
+
+// TestScratchClusterSeedsAllocs locks in the scratch path's steady state:
+// once its buffers have grown, clustering a read allocates nothing.
+func TestScratchClusterSeedsAllocs(t *testing.T) {
+	g, ids := linearGraph(t, 4000, 16)
+	ix := distindex.New(g)
+	rng := rand.New(rand.NewSource(8))
+	sets := make([][]seeds.Seed, 20)
+	for i := range sets {
+		sets[i] = randomSeedSet(rng, ids)
+	}
+	var sc Scratch
+	for _, ss := range sets {
+		sc.ClusterSeeds(ix, ss, DefaultParams(), nil, 0)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		sc.ClusterSeeds(ix, sets[i%len(sets)], DefaultParams(), nil, 0)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("warm Scratch.ClusterSeeds allocates %.1f times per read, want 0", allocs)
+	}
+}
+
 func BenchmarkClusterSeeds(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	g := &vgraph.Graph{}
@@ -329,9 +390,19 @@ func BenchmarkClusterSeeds(b *testing.B) {
 		ss = append(ss, seedAt(ids, 16, rng.Intn(5900), 1, int32(rng.Intn(140))))
 	}
 	p := DefaultParams()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ClusterSeeds(ix, ss, p, nil, 0)
-	}
+	b.Run("scratch", func(b *testing.B) {
+		var sc Scratch
+		sc.ClusterSeeds(ix, ss, p, nil, 0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sc.ClusterSeeds(ix, ss, p, nil, 0)
+		}
+	})
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ClusterSeeds(ix, ss, p, nil, 0)
+		}
+	})
 }

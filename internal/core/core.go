@@ -17,7 +17,7 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"strings"
+	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -124,8 +124,10 @@ func WriteCSV(w io.Writer, records []seeds.ReadSeeds, res *Result) error {
 	if err := WriteCSVHeader(w); err != nil {
 		return err
 	}
+	var buf []byte
 	for i := range records {
-		if err := WriteCSVRecord(w, &records[i], res.Extensions[i]); err != nil {
+		buf = AppendCSVRecord(buf[:0], &records[i], res.Extensions[i])
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 	}
@@ -136,28 +138,46 @@ func WriteCSV(w io.Writer, records []seeds.ReadSeeds, res *Result) error {
 // emitter shares it with WriteCSV so both modes produce byte-identical
 // output.
 func WriteCSVHeader(w io.Writer) error {
-	_, err := fmt.Fprintln(w, "read,node,offset,strand,read_start,read_end,score,mismatches")
+	_, err := io.WriteString(w, "read,node,offset,strand,read_start,read_end,score,mismatches\n")
 	return err
 }
 
 // WriteCSVRecord writes one record's extension rows.
 func WriteCSVRecord(w io.Writer, rec *seeds.ReadSeeds, exts []extend.Extension) error {
+	_, err := w.Write(AppendCSVRecord(nil, rec, exts))
+	return err
+}
+
+// AppendCSVRecord appends one record's extension rows to dst and returns
+// the extended buffer: the formatter behind WriteCSV, WriteCSVRecord and
+// the streaming pipeline's emitter, which reuse one buffer across records.
+func AppendCSVRecord(dst []byte, rec *seeds.ReadSeeds, exts []extend.Extension) []byte {
 	for _, e := range exts {
-		strand := "+"
+		dst = append(dst, rec.Read.Name...)
+		dst = append(dst, ',')
+		dst = strconv.AppendUint(dst, uint64(e.StartPos.Node), 10)
+		dst = append(dst, ',')
+		dst = strconv.AppendInt(dst, int64(e.StartPos.Off), 10)
 		if e.Rev {
-			strand = "-"
+			dst = append(dst, ",-,"...)
+		} else {
+			dst = append(dst, ",+,"...)
 		}
-		mism := make([]string, len(e.Mismatches))
+		dst = strconv.AppendInt(dst, int64(e.ReadStart), 10)
+		dst = append(dst, ',')
+		dst = strconv.AppendInt(dst, int64(e.ReadEnd), 10)
+		dst = append(dst, ',')
+		dst = strconv.AppendInt(dst, int64(e.Score), 10)
+		dst = append(dst, ',')
 		for j, m := range e.Mismatches {
-			mism[j] = fmt.Sprint(m)
+			if j > 0 {
+				dst = append(dst, ';')
+			}
+			dst = strconv.AppendInt(dst, int64(m), 10)
 		}
-		if _, err := fmt.Fprintf(w, "%s,%d,%d,%s,%d,%d,%d,%s\n",
-			rec.Read.Name, e.StartPos.Node, e.StartPos.Off, strand,
-			e.ReadStart, e.ReadEnd, e.Score, strings.Join(mism, ";")); err != nil {
-			return err
-		}
+		dst = append(dst, '\n')
 	}
-	return nil
+	return dst
 }
 
 // ValidationReport summarises the §VI-a functional validation: property (1)

@@ -2,12 +2,15 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/counters"
+	"repro/internal/dna"
 	"repro/internal/extend"
 	"repro/internal/gbz"
 	"repro/internal/giraffe"
@@ -190,6 +193,61 @@ func TestWriteCSV(t *testing.T) {
 	// Mismatched lengths rejected.
 	if err := core.WriteCSV(&buf, recs[:1], res); err == nil {
 		t.Error("mismatched record count accepted")
+	}
+}
+
+// fmtCSVRecord is the fmt-based row formatter AppendCSVRecord replaced,
+// kept as the byte-level reference.
+func fmtCSVRecord(rec *seeds.ReadSeeds, exts []extend.Extension) string {
+	var sb strings.Builder
+	for _, e := range exts {
+		strand := "+"
+		if e.Rev {
+			strand = "-"
+		}
+		mism := make([]string, len(e.Mismatches))
+		for j, m := range e.Mismatches {
+			mism[j] = fmt.Sprint(m)
+		}
+		fmt.Fprintf(&sb, "%s,%d,%d,%s,%d,%d,%d,%s\n",
+			rec.Read.Name, e.StartPos.Node, e.StartPos.Off, strand,
+			e.ReadStart, e.ReadEnd, e.Score, strings.Join(mism, ";"))
+	}
+	return sb.String()
+}
+
+// TestAppendCSVRecordMatchesFmt checks the strconv formatter byte for byte
+// against the fmt one, over extremes as well as real kernel output.
+func TestAppendCSVRecordMatchesFmt(t *testing.T) {
+	f, recs, _ := fixture(t, 0.03)
+	res, err := core.Run(f, recs, core.Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := seeds.ReadSeeds{Read: dna.Read{Name: "odd name,\x00é"}}
+	oddExts := []extend.Extension{
+		{StartPos: vgraph.Position{Node: math.MaxUint32, Off: math.MinInt32}, ReadStart: -1, ReadEnd: math.MaxInt32, Score: math.MinInt32, Rev: true, Mismatches: []int32{0, -7, math.MaxInt32}},
+		{Mismatches: []int32{}},
+		{},
+	}
+	type csvCase struct {
+		rec  *seeds.ReadSeeds
+		exts []extend.Extension
+	}
+	cases := []csvCase{{&odd, oddExts}, {&odd, nil}}
+	for i := range recs {
+		cases = append(cases, csvCase{&recs[i], res.Extensions[i]})
+	}
+	buf := []byte("prefix")
+	for i, c := range cases {
+		buf = core.AppendCSVRecord(buf[:6], c.rec, c.exts)
+		if got, want := string(buf[6:]), fmtCSVRecord(c.rec, c.exts); got != want {
+			t.Fatalf("case %d:\n got %q\nwant %q", i, got, want)
+		}
+		var w bytes.Buffer
+		if err := core.WriteCSVRecord(&w, c.rec, c.exts); err != nil || w.String() != fmtCSVRecord(c.rec, c.exts) {
+			t.Fatalf("case %d: WriteCSVRecord wrote %q, %v", i, w.String(), err)
+		}
 	}
 }
 

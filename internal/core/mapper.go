@@ -213,27 +213,38 @@ func (m *Mapper) NewReader(worker int) gbwt.BiReader {
 //
 //minigiraffe:hot
 func (m *Mapper) MapRecord(worker int, reader gbwt.BiReader, rec *seeds.ReadSeeds, index int) []extend.Extension {
-	return m.mapRecordSlow(worker, reader, rec, index, 0, 0, nil)
+	return m.mapRecordSlow(worker, reader, new(kernelScratch), rec, index, 0, 0, nil)
 }
 
-// mapRecordSlow is MapRecord plus the slow-read exemplar capture:
-// cacheNanos attributes the caller's per-batch CachedGBWT rebuild to each
-// read it covers, sharedNanos an epoch publication the worker performed at
-// the preceding batch boundary. The capture is allocation-free (Exemplar
-// is a value; the reservoir preallocates) and skipped entirely when no
-// reservoir is configured. sb, when non-nil, is the serving path's
-// per-sub-batch request attribution: the record's kernel nanos accumulate
-// into it (plain adds — the sub-batch is owned by this worker until the
-// batch returns) and its trace ID tags the exemplar.
+// kernelScratch is the two kernels' reusable working memory. MapBatchUntil
+// keeps one per batch beside the batch's reader, with the same lifetime and
+// the same single-goroutine ownership; the clusters it holds are consumed
+// before the next record, and the extensions the kernel returns never
+// alias it.
+type kernelScratch struct {
+	cluster cluster.Scratch
+	extend  extend.Scratch
+}
+
+// mapRecordSlow is MapRecord over the caller's kernel scratch plus the
+// slow-read exemplar capture: cacheNanos attributes the caller's per-batch
+// CachedGBWT rebuild to each read it covers, sharedNanos an epoch
+// publication the worker performed at the preceding batch boundary. The
+// capture is allocation-free (Exemplar is a value; the reservoir
+// preallocates) and skipped entirely when no reservoir is configured. sb,
+// when non-nil, is the serving path's per-sub-batch request attribution:
+// the record's kernel nanos accumulate into it (plain adds — the sub-batch
+// is owned by this worker until the batch returns) and its trace ID tags
+// the exemplar.
 //
 //minigiraffe:hot
-func (m *Mapper) mapRecordSlow(worker int, reader gbwt.BiReader, rec *seeds.ReadSeeds, index int, cacheNanos, sharedNanos int64, sb *obs.SubBatch) []extend.Extension {
+func (m *Mapper) mapRecordSlow(worker int, reader gbwt.BiReader, ks *kernelScratch, rec *seeds.ReadSeeds, index int, cacheNanos, sharedNanos int64, sb *obs.SubBatch) []extend.Extension {
 	var t0 time.Time
 	var dc, dt time.Duration
 	if m.instr {
 		t0 = time.Now()
 	}
-	cls := cluster.ClusterSeeds(m.dist, rec.Seeds, m.opts.Cluster, m.opts.Probe, index)
+	cls := ks.cluster.ClusterSeeds(m.dist, rec.Seeds, m.opts.Cluster, m.opts.Probe, index)
 	if m.instr {
 		dc = time.Since(t0)
 		if m.opts.Trace != nil {
@@ -242,7 +253,7 @@ func (m *Mapper) mapRecordSlow(worker int, reader gbwt.BiReader, rec *seeds.Read
 		m.met.cluster.Observe(worker, dc)
 		t0 = time.Now()
 	}
-	env := &extend.Env{Graph: m.file.Graph, Bi: reader, Probe: m.opts.Probe}
+	env := &extend.Env{Graph: m.file.Graph, Bi: reader, Probe: m.opts.Probe, Scratch: &ks.extend}
 	exts := extend.ProcessUntilThresholdC(env, &rec.Read, rec.Seeds, cls, m.opts.Extend, index)
 	if m.instr {
 		dt = time.Since(t0)
@@ -295,7 +306,8 @@ func (m *Mapper) MapBatch(worker int, recs []seeds.ReadSeeds, base int, out [][]
 // record. sb, when non-nil, receives the batch's request attribution: the
 // cache-build and per-record kernel nanos accumulate into it and its trace
 // ID tags every slow-read exemplar the batch produces (the serving path's
-// map_subbatch span decomposition).
+// map_subbatch span decomposition). The batch's kernel scratch is made
+// beside its reader and shares its lifetime.
 //
 //minigiraffe:hot
 func (m *Mapper) MapBatchUntil(worker int, recs []seeds.ReadSeeds, base int, out [][]extend.Extension, stop *atomic.Bool, sb *obs.SubBatch) (cs gbwt.CacheStats, mapped int) {
@@ -304,6 +316,7 @@ func (m *Mapper) MapBatchUntil(worker int, recs []seeds.ReadSeeds, base int, out
 		t0 = time.Now()
 	}
 	reader := m.NewReader(worker)
+	ks := new(kernelScratch)
 	var cacheNanos, sharedNanos int64
 	if m.shared != nil {
 		sharedNanos = m.pendingShared[m.sharedRow(worker)].Swap(0)
@@ -327,7 +340,7 @@ func (m *Mapper) MapBatchUntil(worker int, recs []seeds.ReadSeeds, base int, out
 		if stop != nil && stop.Load() {
 			break
 		}
-		out[j] = m.mapRecordSlow(worker, reader, &recs[j], base+j, cacheNanos, sharedNanos, sb)
+		out[j] = m.mapRecordSlow(worker, reader, ks, &recs[j], base+j, cacheNanos, sharedNanos, sb)
 		mapped++
 	}
 	cs = ReaderCacheStats(reader)

@@ -11,6 +11,7 @@ package dna
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -109,11 +110,18 @@ func (s Sequence) Clone() Sequence {
 
 // RevComp returns the reverse complement of s as a new sequence.
 func (s Sequence) RevComp() Sequence {
-	out := make(Sequence, len(s))
+	return s.AppendRevComp(make(Sequence, 0, len(s)))
+}
+
+// AppendRevComp appends the reverse complement of s to dst and returns the
+// extended slice; RevComp without the allocation when dst has room.
+func (s Sequence) AppendRevComp(dst Sequence) Sequence {
+	n := len(dst)
+	dst = slices.Grow(dst, len(s))[:n+len(s)]
 	for i, b := range s {
-		out[len(s)-1-i] = b.Complement()
+		dst[n+len(s)-1-i] = b.Complement()
 	}
-	return out
+	return dst
 }
 
 // Equal reports whether s and t hold the same bases.

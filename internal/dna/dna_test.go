@@ -85,6 +85,19 @@ func TestRevComp(t *testing.T) {
 	}
 }
 
+func TestAppendRevComp(t *testing.T) {
+	seq := MustParse("AACGT")
+	prefix := MustParse("GG")
+	if got := seq.AppendRevComp(prefix.Clone()).String(); got != "GGACGTT" {
+		t.Errorf("AppendRevComp onto GG = %q, want GGACGTT", got)
+	}
+	buf := make(Sequence, 0, 8)
+	got := seq.AppendRevComp(buf)
+	if got.String() != "ACGTT" || &got[0] != &buf[:1][0] {
+		t.Errorf("AppendRevComp into a roomy buffer = %q, reallocated %v", got, &got[0] != &buf[:1][0])
+	}
+}
+
 func TestRevCompInvolution(t *testing.T) {
 	f := func(raw []byte) bool {
 		seq := make(Sequence, len(raw))

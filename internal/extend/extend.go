@@ -131,6 +131,33 @@ type Env struct {
 	Graph *vgraph.Graph
 	Bi    gbwt.BiReader
 	Probe counters.Probe // nil disables accounting
+	// Scratch is the kernel's reusable working memory; nil means a fresh
+	// one per call. Like Bi, it belongs to one goroutine at a time.
+	Scratch *Scratch
+}
+
+// Scratch is the extension kernel's reusable working memory: the dedup
+// keys, the candidate list and the survivors' concatenated paths and
+// mismatches, pickSeeds' index buffer, the reverse-complemented read, the
+// right walk's frame, path and mismatch stacks with its best completion,
+// and the left walk's buffers. Reusing one across calls makes the kernel
+// allocate only the Extensions it returns, which never alias it. A Scratch
+// is not safe for concurrent use.
+type Scratch struct {
+	keys  []extKey
+	cands []candidate
+	picks []int
+	rev   dna.Sequence    // the read's reverse complement
+	paths []vgraph.NodeID // survivors' paths, concatenated in read order
+	mism  []int32         // survivors' mismatches, concatenated
+
+	frames   []rightFrame
+	walkPath []vgraph.NodeID // right walk: nodes from the seed to the current node
+	walkMism []int32         // right walk: mismatches along walkPath
+	best     rightBest
+
+	leftPath []vgraph.NodeID // left walk: nodes before the seed, right to left
+	leftMism []int32         // left walk: mismatches, right to left
 }
 
 // extKey is the comparable identity used to deduplicate extensions on the
@@ -144,6 +171,14 @@ type extKey struct {
 	rev                bool
 }
 
+// candidate is a deduplicated extension whose Path and Mismatches are still
+// ranges of Scratch.paths and Scratch.mism.
+type candidate struct {
+	ext            Extension
+	pathLo, pathHi int32
+	mismLo, mismHi int32
+}
+
 // ProcessUntilThresholdC runs the extension stage for one read: clusters
 // (score-descending, as produced by cluster.ClusterSeeds) are processed
 // until the score threshold or the cluster cap stops the loop; every
@@ -152,11 +187,19 @@ type extKey struct {
 // position for determinism). readIdx identifies the read for the probe's
 // address map.
 //
+// The result is owned by the caller: with a warm env.Scratch the call
+// allocates only the returned slice and its survivors' Path and Mismatches
+// backing arrays.
+//
 //minigiraffe:hot
 func ProcessUntilThresholdC(env *Env, read *dna.Read, ss []seeds.Seed, clusters []cluster.Cluster, p Params, readIdx int) []Extension {
 	p = p.normalize()
 	if len(clusters) == 0 {
 		return nil
+	}
+	sc := env.Scratch
+	if sc == nil {
+		sc = new(Scratch)
 	}
 	best := clusters[0].Score
 	var fwd, rev dna.Sequence
@@ -164,8 +207,10 @@ func ProcessUntilThresholdC(env *Env, read *dna.Read, ss []seeds.Seed, clusters 
 	// Deduplicate via a linear scan over comparable keys: the candidate set
 	// is capped at MaxClusters×MaxSeedsPerCluster (64 at the defaults), so a
 	// scan beats hashing and keeps this function map- and Sprintf-free.
-	keys := make([]extKey, 0, p.MaxClusters*p.MaxSeedsPerCluster)
-	out := make([]Extension, 0, p.MaxClusters*p.MaxSeedsPerCluster)
+	keys := sc.keys[:0]
+	cands := sc.cands[:0]
+	paths := sc.paths[:0]
+	mism := sc.mism[:0]
 
 	processed := 0
 	for _, cl := range clusters {
@@ -179,19 +224,21 @@ func ProcessUntilThresholdC(env *Env, read *dna.Read, ss []seeds.Seed, clusters 
 		if env.Probe != nil {
 			env.Probe.Instr(32)
 		}
-		for _, si := range pickSeeds(ss, cl.SeedIdx, p.MaxSeedsPerCluster) {
+		sc.picks = pickSeeds(sc.picks, ss, cl.SeedIdx, p.MaxSeedsPerCluster)
+		for _, si := range sc.picks {
 			seed := ss[si]
 			oriented := fwd
 			if seed.Rev {
 				if rev == nil {
-					rev = fwd.RevComp()
+					rev = fwd.AppendRevComp(sc.rev[:0])
+					sc.rev = rev
 					if env.Probe != nil {
 						env.Probe.Instr(int64(len(fwd)) * 2)
 					}
 				}
 				oriented = rev
 			}
-			ext, ok := extendSeed(env, oriented, seed, p, readIdx)
+			ext, ok := extendSeed(env, sc, oriented, seed, p, readIdx)
 			if !ok {
 				continue
 			}
@@ -213,8 +260,41 @@ func ProcessUntilThresholdC(env *Env, read *dna.Read, ss []seeds.Seed, clusters 
 				continue
 			}
 			keys = append(keys, key)
-			out = append(out, ext)
+			// Survivor: append its path and mismatches in read order. The
+			// left walk collected its part right to left.
+			c := candidate{ext: ext, pathLo: int32(len(paths)), mismLo: int32(len(mism))}
+			for i := len(sc.leftPath) - 1; i >= 0; i-- {
+				paths = append(paths, sc.leftPath[i])
+			}
+			paths = append(paths, sc.best.path...)
+			for i := len(sc.leftMism) - 1; i >= 0; i-- {
+				mism = append(mism, sc.leftMism[i])
+			}
+			mism = append(mism, sc.best.mism...)
+			c.pathHi, c.mismHi = int32(len(paths)), int32(len(mism))
+			cands = append(cands, c)
 		}
+	}
+	sc.keys, sc.cands, sc.paths, sc.mism = keys, cands, paths, mism
+
+	// Copy the survivors out: one backing array each for every path and
+	// every mismatch list, capped per extension so a caller's append can
+	// never run into its neighbour's.
+	out := make([]Extension, len(cands))
+	outPaths := make([]vgraph.NodeID, len(paths))
+	copy(outPaths, paths)
+	var outMism []int32
+	if len(mism) > 0 {
+		outMism = make([]int32, len(mism))
+		copy(outMism, mism)
+	}
+	for j, c := range cands {
+		e := c.ext
+		e.Path = outPaths[c.pathLo:c.pathHi:c.pathHi]
+		if c.mismHi > c.mismLo {
+			e.Mismatches = outMism[c.mismLo:c.mismHi:c.mismHi]
+		}
+		out[j] = e
 	}
 	slices.SortFunc(out, func(a, b Extension) int {
 		if a.Score != b.Score {
@@ -232,10 +312,10 @@ func ProcessUntilThresholdC(env *Env, read *dna.Read, ss []seeds.Seed, clusters 
 }
 
 // pickSeeds selects up to max seed indices from the cluster, preferring
-// higher scores then lower read offsets (deterministic).
-func pickSeeds(ss []seeds.Seed, idxs []int, max int) []int {
-	sorted := make([]int, len(idxs))
-	copy(sorted, idxs)
+// higher scores then lower read offsets (deterministic). The selection is
+// built in dst's backing array.
+func pickSeeds(dst []int, ss []seeds.Seed, idxs []int, max int) []int {
+	sorted := append(dst[:0], idxs...)
 	slices.SortFunc(sorted, func(a, b int) int {
 		sa, sb := ss[a], ss[b]
 		if sa.Score != sb.Score {
@@ -252,20 +332,22 @@ func pickSeeds(ss []seeds.Seed, idxs []int, max int) []int {
 	return sorted
 }
 
-// walkResult carries one direction's outcome.
+// walkResult carries one direction's outcome; the walk's nodes and
+// mismatches stay in the Scratch.
 type walkResult struct {
 	readPos int32           // exclusive end (right) / inclusive start (left)
-	mism    []int32         // mismatch read offsets, walk order
-	path    []vgraph.NodeID // nodes entered during the walk, walk order
 	pos     vgraph.Position // final boundary position (left only)
 	reached bool            // read end/start reached
 }
 
 // extendSeed extends a single seed bidirectionally. Returns false if the
-// anchor itself is invalid (position outside the node).
+// anchor itself is invalid (position outside the node). The extension's
+// Path and Mismatches are left unset: its pieces are sc.leftPath/leftMism
+// (right to left, before the seed) and sc.best.path/mism (from the seed
+// node on).
 //
 //minigiraffe:hot
-func extendSeed(env *Env, r dna.Sequence, seed seeds.Seed, p Params, readIdx int) (Extension, bool) {
+func extendSeed(env *Env, sc *Scratch, r dna.Sequence, seed seeds.Seed, p Params, readIdx int) (Extension, bool) {
 	g := env.Graph
 	node := seed.Pos.Node
 	if !g.Has(node) || int(seed.Pos.Off) >= g.SeqLen(node) {
@@ -284,13 +366,14 @@ func extendSeed(env *Env, r dna.Sequence, seed seeds.Seed, p Params, readIdx int
 		return Extension{}, false
 	}
 	// Right: from the anchor base forward, haplotype-constrained.
-	right := extendRight(env, r, seed.ReadOff, node, seed.Pos.Off, state, 0, p, readIdx)
+	right := extendRight(env, sc, r, seed.ReadOff, node, seed.Pos.Off, state, p, readIdx)
+	rightMism := len(sc.best.mism)
 
 	// Left: from the base before the anchor backward, haplotype-constrained
 	// through the reverse index. The left walk restricts the same seed
 	// state (its haplotypes are a superset of the right walk's survivors,
 	// which is what Giraffe's extender tracks per direction).
-	left := extendLeft(env, r, seed.ReadOff-1, node, seed.Pos.Off-1, state, p.MaxMismatches-len(right.mism), p, readIdx)
+	left := extendLeft(env, sc, r, seed.ReadOff-1, node, seed.Pos.Off-1, state, p.MaxMismatches-rightMism, p, readIdx)
 
 	ext := Extension{
 		StartPos:  left.pos,
@@ -298,27 +381,9 @@ func extendSeed(env *Env, r dna.Sequence, seed seeds.Seed, p Params, readIdx int
 		ReadEnd:   right.readPos,
 		Rev:       seed.Rev,
 	}
-	// Assemble mismatches: left's are collected walking backward. Sized up
-	// front; stays nil when the alignment is mismatch-free.
-	if n := len(left.mism) + len(right.mism); n > 0 {
-		mism := make([]int32, 0, n)
-		for i := len(left.mism) - 1; i >= 0; i-- {
-			mism = append(mism, left.mism[i])
-		}
-		mism = append(mism, right.mism...)
-		ext.Mismatches = mism
-	}
-	// Path: left path is collected walking backward (excluding seed node);
-	// right path starts with the seed node.
-	path := make([]vgraph.NodeID, 0, len(left.path)+len(right.path))
-	for i := len(left.path) - 1; i >= 0; i-- {
-		path = append(path, left.path[i])
-	}
-	path = append(path, right.path...)
-	ext.Path = path
-
-	matched := ext.Len() - int32(len(ext.Mismatches))
-	ext.Score = matched*p.MatchScore - int32(len(ext.Mismatches))*p.MismatchPenalty
+	nMism := int32(len(sc.leftMism) + rightMism)
+	matched := ext.Len() - nMism
+	ext.Score = matched*p.MatchScore - nMism*p.MismatchPenalty
 	if left.reached {
 		ext.Score += p.FullLengthBonus
 	}
@@ -328,95 +393,150 @@ func extendSeed(env *Env, r dna.Sequence, seed seeds.Seed, p Params, readIdx int
 	return ext, true
 }
 
-// extendRight walks the graph forward from (node, off) matching r[i:],
-// following GBWT haplotypes, branching at node boundaries and keeping the
-// best-scoring completion. The returned path includes the starting node.
-//
-//minigiraffe:hot
-func extendRight(env *Env, r dna.Sequence, i int32, node vgraph.NodeID, off int32, state gbwt.BiState, mismUsed int, p Params, readIdx int) walkResult {
-	g := env.Graph
-	label := g.Seq(node)
-	// At most MaxMismatches-mismUsed mismatches can be consumed here: the
-	// budget check below stops the walk before the slice would grow.
-	mism := make([]int32, 0, p.MaxMismatches-mismUsed)
-	if env.Probe != nil {
-		n := int32(len(label)) - off
-		if rem := int32(len(r)) - i; rem < n {
-			n = rem
-		}
-		if n > 0 {
-			env.Probe.Access(counters.NodeSeqAddr(uint32(node), off), int(n))
-			env.Probe.Access(counters.ReadAddr(readIdx, i), int(n))
-			env.Probe.Instr(int64(n) * 6)
-		}
-	}
-	for int(off) < len(label) && int(i) < len(r) {
-		if label[off] != r[i] {
-			if mismUsed+len(mism)+1 > p.MaxMismatches {
-				// Stop before consuming the over-budget mismatch.
-				return walkResult{readPos: i, mism: mism, path: []vgraph.NodeID{node}}
-			}
-			mism = append(mism, i)
-		}
-		off++
-		i++
-	}
-	if int(i) >= len(r) {
-		return walkResult{readPos: i, mism: mism, path: []vgraph.NodeID{node}, reached: true}
-	}
-	// Node exhausted: branch along haplotype-consistent successors.
-	rec := env.Bi.Fwd.Record(state.Fwd.Node)
-	if env.Probe != nil {
-		env.Probe.Access(counters.RecordAddr(uint32(state.Fwd.Node)), counters.RecordStride)
-		env.Probe.Instr(20)
-	}
-	var best walkResult
-	haveBest := false
-	if rec != nil {
-		for _, e := range rec.Edges {
-			if e.To == gbwt.Endmarker {
-				continue
-			}
-			next := gbwt.ExtendRightWith(env.Bi, state, e.To)
-			if next.Empty() {
-				continue
-			}
-			sub := extendRight(env, r, i, e.To, 0, next, mismUsed+len(mism), p, readIdx)
-			if !haveBest || betterRight(sub, best, p) {
-				best = sub
-				haveBest = true
-			}
-		}
-	}
-	if !haveBest {
-		// Dead end: the extension stops at the node boundary.
-		return walkResult{readPos: i, mism: mism, path: []vgraph.NodeID{node}}
-	}
-	merged := walkResult{
-		readPos: best.readPos,
-		mism:    append(mism, best.mism...),
-		path:    append([]vgraph.NodeID{node}, best.path...),
-		reached: best.reached,
-	}
-	return merged
+// rightFrame is one node of the right walk's depth-first search whose
+// label has been matched to its end: the successor edges still to try and
+// where the walk stood when it left the node.
+type rightFrame struct {
+	rec     *gbwt.DecodedRecord
+	state   gbwt.BiState
+	next    int   // next index into rec.Edges
+	i       int32 // read position at the node's end
+	depth   int   // len(path) with this node on it
+	nMism   int   // len(mism) at the node's end
+	entered bool  // some successor was walked: not a dead end
 }
 
-// betterRight compares right-walk completions by score.
-func betterRight(a, b walkResult, p Params) bool {
-	sa := score1(a.readPos, int32(len(a.mism)), p)
-	sb := score1(b.readPos, int32(len(b.mism)), p)
-	if sa != sb {
-		return sa > sb
+// rightBest is the best right-walk completion seen so far.
+type rightBest struct {
+	path         []vgraph.NodeID
+	mism         []int32
+	score, reach int32
+	reached      bool
+	have         bool
+}
+
+// offer records the completion (path, mism, reach) if it beats the current
+// best. The order is score descending, then reach descending, then path
+// ascending lexicographically — the recursive walk's per-level tie-break
+// (score, reach, first node of the branch) applied globally: two
+// completions share every node above their divergence and differ at it, so
+// comparing whole paths decides exactly where the recursion would have.
+// Scores count mismatches from the seed on; the recursion counted them
+// from the branch point, which shifts both sides equally.
+func (b *rightBest) offer(path []vgraph.NodeID, mism []int32, reach int32, reached bool, p Params) {
+	s := score1(reach, int32(len(mism)), p)
+	if b.have {
+		switch {
+		case s != b.score:
+			if s < b.score {
+				return
+			}
+		case reach != b.reach:
+			if reach < b.reach {
+				return
+			}
+		case slices.Compare(path, b.path) >= 0:
+			return
+		}
 	}
-	// Deterministic tie-break: longer reach, then lexicographically smaller
-	// first path node.
-	if a.readPos != b.readPos {
-		return a.readPos > b.readPos
+	b.path = append(b.path[:0], path...)
+	b.mism = append(b.mism[:0], mism...)
+	b.score, b.reach, b.reached, b.have = s, reach, reached, true
+}
+
+// extendRight walks the graph forward from (node, off) matching r[i:],
+// following GBWT haplotypes, branching at node boundaries and keeping the
+// best-scoring completion in sc.best (its path starts with the starting
+// node). The search is an explicit depth-first walk over sc's frame stack
+// and one shared path and mismatch stack; nodes, Record lookups and probe
+// accounting happen in the same order as a recursive walk's, successors in
+// edge order.
+//
+//minigiraffe:hot
+func extendRight(env *Env, sc *Scratch, r dna.Sequence, i int32, node vgraph.NodeID, off int32, state gbwt.BiState, p Params, readIdx int) walkResult {
+	g := env.Graph
+	frames := sc.frames[:0]
+	path := sc.walkPath[:0]
+	mism := sc.walkMism[:0]
+	b := &sc.best
+	b.have = false
+	for {
+		// Enter node at (off, i): match its label against the read.
+		path = append(path, node)
+		label := g.Seq(node)
+		if env.Probe != nil {
+			n := int32(len(label)) - off
+			if rem := int32(len(r)) - i; rem < n {
+				n = rem
+			}
+			if n > 0 {
+				env.Probe.Access(counters.NodeSeqAddr(uint32(node), off), int(n))
+				env.Probe.Access(counters.ReadAddr(readIdx, i), int(n))
+				env.Probe.Instr(int64(n) * 6)
+			}
+		}
+		overBudget := false
+		for int(off) < len(label) && int(i) < len(r) {
+			if label[off] != r[i] {
+				if len(mism)+1 > p.MaxMismatches {
+					// Stop before consuming the over-budget mismatch.
+					overBudget = true
+					break
+				}
+				mism = append(mism, i)
+			}
+			off++
+			i++
+		}
+		switch {
+		case overBudget:
+			b.offer(path, mism, i, false, p)
+		case int(i) >= len(r):
+			b.offer(path, mism, i, true, p)
+		default:
+			// Node exhausted: branch along haplotype-consistent successors.
+			rec := env.Bi.Fwd.Record(state.Fwd.Node)
+			if env.Probe != nil {
+				env.Probe.Access(counters.RecordAddr(uint32(state.Fwd.Node)), counters.RecordStride)
+				env.Probe.Instr(20)
+			}
+			frames = append(frames, rightFrame{rec: rec, state: state, i: i, depth: len(path), nMism: len(mism)})
+		}
+
+		// Find the next successor to enter, backtracking through finished
+		// frames; a frame that entered none is a dead end, where the
+		// extension stops at the node boundary.
+		entered := false
+		for !entered && len(frames) > 0 {
+			f := &frames[len(frames)-1]
+			path, mism = path[:f.depth], mism[:f.nMism]
+			for f.rec != nil && f.next < len(f.rec.Edges) {
+				to := f.rec.Edges[f.next].To
+				f.next++
+				if to == gbwt.Endmarker {
+					continue
+				}
+				next := gbwt.ExtendRightWith(env.Bi, f.state, to)
+				if next.Empty() {
+					continue
+				}
+				node, off, i, state = to, 0, f.i, next
+				f.entered, entered = true, true
+				break
+			}
+			if !entered {
+				if !f.entered {
+					b.offer(path, mism, f.i, false, p)
+				}
+				frames = frames[:len(frames)-1]
+			}
+		}
+		if !entered {
+			break
+		}
 	}
-	if len(a.path) > 0 && len(b.path) > 0 && a.path[0] != b.path[0] {
-		return a.path[0] < b.path[0]
-	}
-	return false
+	sc.frames, sc.walkPath, sc.walkMism = frames, path, mism
+	return walkResult{readPos: b.reach, reached: b.reached}
 }
 
 func score1(reach, mism int32, p Params) int32 {
@@ -428,19 +548,17 @@ func score1(reach, mism int32, p Params) int32 {
 // bidirectional state is extended left through the reverse index, so only
 // walks some indexed haplotype actually takes survive. The returned pos is
 // the graph position of the leftmost matched base; readPos is the inclusive
-// read start; path lists nodes *before* the seed node, in walk
-// (right-to-left) order.
+// read start. The walk leaves in sc.leftPath the nodes *before* the seed
+// node and in sc.leftMism its mismatches, both in walk (right-to-left)
+// order.
 //
 //minigiraffe:hot
-func extendLeft(env *Env, r dna.Sequence, i int32, node vgraph.NodeID, off int32, state gbwt.BiState, mismBudget int, p Params, readIdx int) walkResult {
+func extendLeft(env *Env, sc *Scratch, r dna.Sequence, i int32, node vgraph.NodeID, off int32, state gbwt.BiState, mismBudget int, p Params, readIdx int) walkResult {
 	g := env.Graph
-	mb := mismBudget
-	if mb < 0 {
-		mb = 0
-	}
-	mism := make([]int32, 0, mb)
-	path := make([]vgraph.NodeID, 0, 4)
+	mism := sc.leftMism[:0]
+	path := sc.leftPath[:0]
 	curNode, curOff := node, off
+	var res walkResult
 	for {
 		label := g.Seq(curNode)
 		if env.Probe != nil && curOff >= 0 && i >= 0 {
@@ -454,47 +572,41 @@ func extendLeft(env *Env, r dna.Sequence, i int32, node vgraph.NodeID, off int32
 				env.Probe.Instr(int64(n) * 6)
 			}
 		}
+		overBudget := false
 		for curOff >= 0 && i >= 0 {
 			if label[curOff] != r[i] {
 				if len(mism)+1 > mismBudget {
-					return walkResult{
-						readPos: i + 1,
-						mism:    mism,
-						path:    path,
-						pos:     vgraph.Position{Node: curNode, Off: curOff + 1},
-					}
+					overBudget = true
+					break
 				}
 				mism = append(mism, i)
 			}
 			curOff--
 			i--
 		}
+		if overBudget {
+			res = walkResult{readPos: i + 1, pos: vgraph.Position{Node: curNode, Off: curOff + 1}}
+			break
+		}
 		if i < 0 {
-			return walkResult{
-				readPos: 0,
-				mism:    mism,
-				path:    path,
-				pos:     vgraph.Position{Node: curNode, Off: curOff + 1},
-				reached: true,
-			}
+			res = walkResult{readPos: 0, pos: vgraph.Position{Node: curNode, Off: curOff + 1}, reached: true}
+			break
 		}
 		// Node start reached: step to the best haplotype-consistent
 		// predecessor. Greedy: choose the predecessor whose tail matches the
 		// read furthest (deterministic by node id on ties).
 		pred, next := bestPredecessor(env, r, i, state, p)
 		if pred == vgraph.Invalid {
-			return walkResult{
-				readPos: i + 1,
-				mism:    mism,
-				path:    path,
-				pos:     vgraph.Position{Node: curNode, Off: 0},
-			}
+			res = walkResult{readPos: i + 1, pos: vgraph.Position{Node: curNode, Off: 0}}
+			break
 		}
 		path = append(path, pred)
 		state = next
 		curNode = pred
 		curOff = int32(g.SeqLen(pred)) - 1
 	}
+	sc.leftMism, sc.leftPath = mism, path
+	return res
 }
 
 // bestPredecessor returns the haplotype-consistent predecessor of the

@@ -1,8 +1,11 @@
 package extend
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/cluster"
@@ -28,15 +31,30 @@ type fixture struct {
 
 func buildFixture(t testing.TB, seed int64, refLen, nHaps int) *fixture {
 	t.Helper()
+	return buildSpacedFixture(t, seed, refLen, nHaps, 70, 70, 3)
+}
+
+// buildBubbleFixture packs a bubble every 6–9 bases, three in four of them
+// SNPs, so reads cross many sibling branches that tie on score and reach.
+func buildBubbleFixture(t testing.TB, seed int64, refLen, nHaps int) *fixture {
+	t.Helper()
+	return buildSpacedFixture(t, seed, refLen, nHaps, 6, 4, 4)
+}
+
+// buildSpacedFixture places a variant every gap+rand(jitter) bases; kinds
+// picks among SNP, insertion, deletion, with kinds > 3 adding extra SNP
+// weight.
+func buildSpacedFixture(t testing.TB, seed int64, refLen, nHaps, gap, jitter, kinds int) *fixture {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ref := make(dna.Sequence, refLen)
 	for i := range ref {
 		ref[i] = dna.Base(rng.Intn(4))
 	}
 	var vs []vgraph.Variant
-	for pos := 60; pos < refLen-60; pos += 70 + rng.Intn(70) {
-		switch rng.Intn(3) {
-		case 0:
+	for pos := 60; pos < refLen-60; pos += gap + rng.Intn(jitter) {
+		switch rng.Intn(kinds) {
+		case 0, 3:
 			vs = append(vs, vgraph.Variant{Pos: pos, Kind: vgraph.SNP, Alt: dna.Sequence{(ref[pos] + 1) & 3}})
 		case 1:
 			ins := make(dna.Sequence, 1+rng.Intn(5))
@@ -45,7 +63,7 @@ func buildFixture(t testing.TB, seed int64, refLen, nHaps int) *fixture {
 			}
 			vs = append(vs, vgraph.Variant{Pos: pos, Kind: vgraph.Insertion, Alt: ins})
 		case 2:
-			vs = append(vs, vgraph.Variant{Pos: pos, Kind: vgraph.Deletion, DelLen: 1 + rng.Intn(6)})
+			vs = append(vs, vgraph.Variant{Pos: pos, Kind: vgraph.Deletion, DelLen: 1 + rng.Intn(min(6, gap-2))})
 		}
 	}
 	pg, err := vgraph.BuildPangenome(ref, vs, 16)
@@ -350,6 +368,466 @@ func TestParamsNormalize(t *testing.T) {
 	}
 }
 
+// ---------------------------------------------------------------------------
+// Reference kernel: the recursive right walk the iterative one replaced,
+// kept as it was (allocating on every node visit) as the oracle for
+// TestKernelMatchesReference. extendLeft and ProcessUntilThresholdC are
+// kept in their allocating form alongside it.
+
+// refWalk carries one direction's outcome in the reference kernel.
+type refWalk struct {
+	readPos int32
+	mism    []int32
+	path    []vgraph.NodeID
+	pos     vgraph.Position
+	reached bool
+}
+
+// refKernel counts the right-walk tie-breaks decided by the branches'
+// first nodes, so a test can show its reads reach that case.
+type refKernel struct{ pathTies int }
+
+func (rk *refKernel) process(env *Env, read *dna.Read, ss []seeds.Seed, clusters []cluster.Cluster, p Params, readIdx int) []Extension {
+	p = p.normalize()
+	if len(clusters) == 0 {
+		return nil
+	}
+	best := clusters[0].Score
+	fwd := read.Seq
+	var rev dna.Sequence
+	var keys []extKey
+	out := make([]Extension, 0, p.MaxClusters*p.MaxSeedsPerCluster)
+	processed := 0
+	for _, cl := range clusters {
+		if processed >= p.MaxClusters {
+			break
+		}
+		if processed >= p.MinClusters && cl.Score < p.ScoreFraction*best {
+			break
+		}
+		processed++
+		if env.Probe != nil {
+			env.Probe.Instr(32)
+		}
+		for _, si := range pickSeeds(nil, ss, cl.SeedIdx, p.MaxSeedsPerCluster) {
+			seed := ss[si]
+			oriented := fwd
+			if seed.Rev {
+				if rev == nil {
+					rev = fwd.RevComp()
+					if env.Probe != nil {
+						env.Probe.Instr(int64(len(fwd)) * 2)
+					}
+				}
+				oriented = rev
+			}
+			ext, ok := rk.extendSeed(env, oriented, seed, p, readIdx)
+			if !ok {
+				continue
+			}
+			key := extKey{ext.StartPos.Node, ext.StartPos.Off, ext.ReadStart, ext.ReadEnd, ext.Rev}
+			if slices.Contains(keys, key) {
+				continue
+			}
+			keys = append(keys, key)
+			out = append(out, ext)
+		}
+	}
+	slices.SortFunc(out, func(a, b Extension) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
+		}
+		if a.StartPos.Node != b.StartPos.Node {
+			return cmp.Compare(a.StartPos.Node, b.StartPos.Node)
+		}
+		if a.StartPos.Off != b.StartPos.Off {
+			return cmp.Compare(a.StartPos.Off, b.StartPos.Off)
+		}
+		return cmp.Compare(a.ReadStart, b.ReadStart)
+	})
+	return out
+}
+
+func (rk *refKernel) extendSeed(env *Env, r dna.Sequence, seed seeds.Seed, p Params, readIdx int) (Extension, bool) {
+	g := env.Graph
+	node := seed.Pos.Node
+	if !g.Has(node) || int(seed.Pos.Off) >= g.SeqLen(node) {
+		return Extension{}, false
+	}
+	if int(seed.ReadOff) >= len(r) || seed.ReadOff < 0 {
+		return Extension{}, false
+	}
+	state := gbwt.BiState{
+		Fwd: env.Bi.Fwd.Base().FullState(node),
+		Rev: env.Bi.Rev.Base().FullState(node),
+	}
+	if state.Empty() {
+		return Extension{}, false
+	}
+	right := rk.extendRight(env, r, seed.ReadOff, node, seed.Pos.Off, state, 0, p, readIdx)
+	left := refExtendLeft(env, r, seed.ReadOff-1, node, seed.Pos.Off-1, state, p.MaxMismatches-len(right.mism), p, readIdx)
+	ext := Extension{
+		StartPos:  left.pos,
+		ReadStart: left.readPos,
+		ReadEnd:   right.readPos,
+		Rev:       seed.Rev,
+	}
+	if n := len(left.mism) + len(right.mism); n > 0 {
+		mism := make([]int32, 0, n)
+		for i := len(left.mism) - 1; i >= 0; i-- {
+			mism = append(mism, left.mism[i])
+		}
+		ext.Mismatches = append(mism, right.mism...)
+	}
+	path := make([]vgraph.NodeID, 0, len(left.path)+len(right.path))
+	for i := len(left.path) - 1; i >= 0; i-- {
+		path = append(path, left.path[i])
+	}
+	ext.Path = append(path, right.path...)
+	matched := ext.Len() - int32(len(ext.Mismatches))
+	ext.Score = matched*p.MatchScore - int32(len(ext.Mismatches))*p.MismatchPenalty
+	if left.reached {
+		ext.Score += p.FullLengthBonus
+	}
+	if right.reached {
+		ext.Score += p.FullLengthBonus
+	}
+	return ext, true
+}
+
+func (rk *refKernel) extendRight(env *Env, r dna.Sequence, i int32, node vgraph.NodeID, off int32, state gbwt.BiState, mismUsed int, p Params, readIdx int) refWalk {
+	label := env.Graph.Seq(node)
+	mism := make([]int32, 0, p.MaxMismatches-mismUsed)
+	if env.Probe != nil {
+		n := int32(len(label)) - off
+		if rem := int32(len(r)) - i; rem < n {
+			n = rem
+		}
+		if n > 0 {
+			env.Probe.Access(counters.NodeSeqAddr(uint32(node), off), int(n))
+			env.Probe.Access(counters.ReadAddr(readIdx, i), int(n))
+			env.Probe.Instr(int64(n) * 6)
+		}
+	}
+	for int(off) < len(label) && int(i) < len(r) {
+		if label[off] != r[i] {
+			if mismUsed+len(mism)+1 > p.MaxMismatches {
+				return refWalk{readPos: i, mism: mism, path: []vgraph.NodeID{node}}
+			}
+			mism = append(mism, i)
+		}
+		off++
+		i++
+	}
+	if int(i) >= len(r) {
+		return refWalk{readPos: i, mism: mism, path: []vgraph.NodeID{node}, reached: true}
+	}
+	rec := env.Bi.Fwd.Record(state.Fwd.Node)
+	if env.Probe != nil {
+		env.Probe.Access(counters.RecordAddr(uint32(state.Fwd.Node)), counters.RecordStride)
+		env.Probe.Instr(20)
+	}
+	var best refWalk
+	haveBest := false
+	if rec != nil {
+		for _, e := range rec.Edges {
+			if e.To == gbwt.Endmarker {
+				continue
+			}
+			next := gbwt.ExtendRightWith(env.Bi, state, e.To)
+			if next.Empty() {
+				continue
+			}
+			sub := rk.extendRight(env, r, i, e.To, 0, next, mismUsed+len(mism), p, readIdx)
+			if !haveBest || rk.betterRight(sub, best, p) {
+				best = sub
+				haveBest = true
+			}
+		}
+	}
+	if !haveBest {
+		return refWalk{readPos: i, mism: mism, path: []vgraph.NodeID{node}}
+	}
+	return refWalk{
+		readPos: best.readPos,
+		mism:    append(mism, best.mism...),
+		path:    append([]vgraph.NodeID{node}, best.path...),
+		reached: best.reached,
+	}
+}
+
+func (rk *refKernel) betterRight(a, b refWalk, p Params) bool {
+	sa := score1(a.readPos, int32(len(a.mism)), p)
+	sb := score1(b.readPos, int32(len(b.mism)), p)
+	if sa != sb {
+		return sa > sb
+	}
+	if a.readPos != b.readPos {
+		return a.readPos > b.readPos
+	}
+	if len(a.path) > 0 && len(b.path) > 0 && a.path[0] != b.path[0] {
+		rk.pathTies++
+		return a.path[0] < b.path[0]
+	}
+	return false
+}
+
+func refExtendLeft(env *Env, r dna.Sequence, i int32, node vgraph.NodeID, off int32, state gbwt.BiState, mismBudget int, p Params, readIdx int) refWalk {
+	g := env.Graph
+	var mism []int32
+	var path []vgraph.NodeID
+	curNode, curOff := node, off
+	for {
+		label := g.Seq(curNode)
+		if env.Probe != nil && curOff >= 0 && i >= 0 {
+			n := curOff + 1
+			if i+1 < n {
+				n = i + 1
+			}
+			if n > 0 {
+				env.Probe.Access(counters.NodeSeqAddr(uint32(curNode), curOff-n+1), int(n))
+				env.Probe.Access(counters.ReadAddr(readIdx, i-n+1), int(n))
+				env.Probe.Instr(int64(n) * 6)
+			}
+		}
+		for curOff >= 0 && i >= 0 {
+			if label[curOff] != r[i] {
+				if len(mism)+1 > mismBudget {
+					return refWalk{readPos: i + 1, mism: mism, path: path, pos: vgraph.Position{Node: curNode, Off: curOff + 1}}
+				}
+				mism = append(mism, i)
+			}
+			curOff--
+			i--
+		}
+		if i < 0 {
+			return refWalk{mism: mism, path: path, pos: vgraph.Position{Node: curNode, Off: curOff + 1}, reached: true}
+		}
+		pred, next := bestPredecessor(env, r, i, state, p)
+		if pred == vgraph.Invalid {
+			return refWalk{readPos: i + 1, mism: mism, path: path, pos: vgraph.Position{Node: curNode, Off: 0}}
+		}
+		path = append(path, pred)
+		state = next
+		curNode = pred
+		curOff = int32(g.SeqLen(pred)) - 1
+	}
+}
+
+// seedExtension runs the kernel's extendSeed and assembles the Extension
+// the way ProcessUntilThresholdC copies survivors out.
+func seedExtension(env *Env, sc *Scratch, r dna.Sequence, seed seeds.Seed, p Params) (Extension, bool) {
+	ext, ok := extendSeed(env, sc, r, seed, p, 0)
+	if !ok {
+		return ext, false
+	}
+	for i := len(sc.leftPath) - 1; i >= 0; i-- {
+		ext.Path = append(ext.Path, sc.leftPath[i])
+	}
+	ext.Path = append(ext.Path, sc.best.path...)
+	for i := len(sc.leftMism) - 1; i >= 0; i-- {
+		ext.Mismatches = append(ext.Mismatches, sc.leftMism[i])
+	}
+	ext.Mismatches = append(ext.Mismatches, sc.best.mism...)
+	return ext, true
+}
+
+// eventLog records, in order, every probe call and every GBWT Record
+// lookup a kernel makes.
+type eventLog struct{ events []string }
+
+func (l *eventLog) Instr(n int64) { l.events = append(l.events, "I"+strconv.FormatInt(n, 10)) }
+func (l *eventLog) Access(addr uint64, size int) {
+	l.events = append(l.events, "A"+strconv.FormatUint(addr, 16)+"/"+strconv.Itoa(size))
+}
+
+// loggedReader wraps a GBWT reader, logging each Record lookup.
+type loggedReader struct {
+	gbwt.Reader
+	dir string
+	log *eventLog
+}
+
+func (r loggedReader) Record(v gbwt.NodeID) *gbwt.DecodedRecord {
+	r.log.events = append(r.log.events, r.dir+strconv.FormatUint(uint64(v), 10))
+	return r.Reader.Record(v)
+}
+
+// loggedEnv gives a kernel a fresh cached reader pair and probe, both
+// logging into one event stream.
+func (f *fixture) loggedEnv() (*Env, *eventLog) {
+	log := &eventLog{}
+	bi := f.bi.NewBiReader(64)
+	return &Env{
+		Graph: f.pg.Graph,
+		Bi:    gbwt.BiReader{Fwd: loggedReader{bi.Fwd, "F", log}, Rev: loggedReader{bi.Rev, "R", log}},
+		Probe: log,
+	}, log
+}
+
+// TestKernelMatchesReference checks the iterative kernel against the
+// recursive reference: deeply equal extensions (Path, Mismatches, Score,
+// StartPos and all), the same probe calls and Record lookups in the same
+// order, per read and per seed at every mismatch budget 0–4.
+func TestKernelMatchesReference(t *testing.T) {
+	cases := []struct {
+		name string
+		f    *fixture
+	}{
+		{"fixture1", buildFixture(t, 1, 4000, 6)},
+		{"fixture4", buildFixture(t, 4, 5000, 8)},
+		{"fixture11", buildFixture(t, 11, 8000, 8)},
+		{"bubble-dense", buildBubbleFixture(t, 21, 3000, 12)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := tc.f
+			rk := &refKernel{}
+			sc := new(Scratch)
+			rng := rand.New(rand.NewSource(99))
+			reads, extsSeen := 0, 0
+			for trial := 0; trial < 60; trial++ {
+				hap := rng.Intn(len(f.seqs))
+				start := rng.Intn(len(f.seqs[hap]) - 130)
+				seq := f.seqs[hap][start : start+120].Clone()
+				for e := rng.Intn(7); e > 0; e-- {
+					i := rng.Intn(len(seq))
+					seq[i] = (seq[i] + 1 + dna.Base(rng.Intn(3))) & 3
+				}
+				if rng.Intn(2) == 1 {
+					seq = seq.RevComp()
+				}
+				read := &dna.Read{Name: "o", Seq: seq, Fragment: -1}
+				ss, err := seeds.Extract(f.minIx, read)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cls := cluster.ClusterSeeds(f.dist, ss, cluster.DefaultParams(), nil, 0)
+				reads++
+				for mm := 0; mm <= 4; mm++ {
+					p := Params{MaxMismatches: mm}
+					refEnv, refLog := f.loggedEnv()
+					want := rk.process(refEnv, read, ss, cls, p, 0)
+					env, log := f.loggedEnv()
+					env.Scratch = sc
+					got := ProcessUntilThresholdC(env, read, ss, cls, p, 0)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("trial %d budget %d: extensions differ\n got %+v\nwant %+v", trial, mm, got, want)
+					}
+					if !slices.Equal(log.events, refLog.events) {
+						t.Fatalf("trial %d budget %d: probe/Record sequence differs (%d vs %d events)", trial, mm, len(log.events), len(refLog.events))
+					}
+					extsSeen += len(got)
+
+					// Seed level at the exact budget: ProcessUntilThresholdC
+					// normalizes a zero budget to the default.
+					pn := p.normalize()
+					pn.MaxMismatches = mm
+					for _, seed := range ss {
+						r := read.Seq
+						if seed.Rev {
+							r = read.Seq.RevComp()
+						}
+						we, wok := rk.extendSeed(refEnv, r, seed, pn, 0)
+						ge, gok := seedExtension(env, sc, r, seed, pn)
+						if wok != gok || !reflect.DeepEqual(ge, we) {
+							t.Fatalf("trial %d budget %d seed %+v: got %+v (%v), want %+v (%v)", trial, mm, seed, ge, gok, we, wok)
+						}
+					}
+				}
+			}
+			if extsSeen == 0 {
+				t.Fatal("no extensions produced")
+			}
+			t.Logf("%d reads, %d extensions, %d right-walk ties decided by path", reads, extsSeen, rk.pathTies)
+			if tc.name == "bubble-dense" && rk.pathTies == 0 {
+				t.Fatal("bubble-dense reads never reached a score-and-reach tie")
+			}
+		})
+	}
+}
+
+// TestProcessUntilThresholdCAllocs locks in the allocation budget: with a
+// warm Scratch (and a warm GBWT cache) a read costs at most the returned
+// slice plus a Path and a Mismatches array per extension, however many
+// nodes its walks visit.
+func TestProcessUntilThresholdCAllocs(t *testing.T) {
+	for _, f := range []*fixture{buildFixture(t, 11, 8000, 8), buildBubbleFixture(t, 21, 3000, 12)} {
+		env := &Env{Graph: f.pg.Graph, Bi: f.bi.NewBiReader(4096), Scratch: new(Scratch)}
+		rng := rand.New(rand.NewSource(13))
+		for trial := 0; trial < 30; trial++ {
+			hap := rng.Intn(len(f.seqs))
+			start := rng.Intn(len(f.seqs[hap]) - 130)
+			seq := f.seqs[hap][start : start+120].Clone()
+			for e := rng.Intn(7); e > 0; e-- {
+				i := rng.Intn(len(seq))
+				seq[i] = (seq[i] + 1 + dna.Base(rng.Intn(3))) & 3
+			}
+			if rng.Intn(2) == 1 {
+				seq = seq.RevComp()
+			}
+			read := &dna.Read{Name: "a", Seq: seq, Fragment: -1}
+			ss, err := seeds.Extract(f.minIx, read)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cls := cluster.ClusterSeeds(f.dist, ss, cluster.DefaultParams(), nil, 0)
+			var out []Extension
+			allocs := testing.AllocsPerRun(5, func() {
+				out = ProcessUntilThresholdC(env, read, ss, cls, Params{}, 0)
+			})
+			if budget := float64(1 + 2*len(out)); allocs > budget {
+				t.Errorf("trial %d: %.1f allocations for %d extensions, budget %.0f", trial, allocs, len(out), budget)
+			}
+		}
+	}
+}
+
+// TestReturnedExtensionsOwned checks that results survive the Scratch's
+// reuse and that appending to one extension's slices leaves its
+// neighbours intact.
+func TestReturnedExtensionsOwned(t *testing.T) {
+	f := buildBubbleFixture(t, 21, 3000, 12)
+	env := &Env{Graph: f.pg.Graph, Bi: f.bi.NewBiReader(256), Scratch: new(Scratch)}
+	rng := rand.New(rand.NewSource(17))
+	type kept struct{ got, want []Extension }
+	var all []kept
+	for trial := 0; trial < 20; trial++ {
+		hap := rng.Intn(len(f.seqs))
+		start := rng.Intn(len(f.seqs[hap]) - 130)
+		seq := f.seqs[hap][start : start+120].Clone()
+		seq[rng.Intn(len(seq))] ^= 1
+		read := &dna.Read{Name: "k", Seq: seq, Fragment: -1}
+		ss, err := seeds.Extract(f.minIx, read)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cls := cluster.ClusterSeeds(f.dist, ss, cluster.DefaultParams(), nil, 0)
+		got := ProcessUntilThresholdC(env, read, ss, cls, Params{}, 0)
+		want := ProcessUntilThresholdC(&Env{Graph: f.pg.Graph, Bi: f.bi.NewBiReader(256)}, read, ss, cls, Params{}, 0)
+		all = append(all, kept{got, want})
+	}
+	for i, k := range all {
+		if !reflect.DeepEqual(k.got, k.want) {
+			t.Fatalf("read %d: extensions changed after later calls on the same Scratch", i)
+		}
+		for j := range k.got {
+			k.got[j].Path = append(k.got[j].Path, 0)
+			k.got[j].Mismatches = append(k.got[j].Mismatches, -1)
+		}
+		for j := range k.got {
+			k.got[j].Path = k.got[j].Path[:len(k.got[j].Path)-1]
+			k.got[j].Mismatches = k.got[j].Mismatches[:len(k.got[j].Mismatches)-1]
+			if len(k.got[j].Mismatches) == 0 {
+				k.got[j].Mismatches = nil
+			}
+		}
+		if !reflect.DeepEqual(k.got, k.want) {
+			t.Fatalf("read %d: appending to one extension's slices changed another", i)
+		}
+	}
+}
+
 func BenchmarkProcessUntilThresholdC(b *testing.B) {
 	f := buildFixture(b, 11, 8000, 8)
 	rng := rand.New(rand.NewSource(12))
@@ -370,10 +848,23 @@ func BenchmarkProcessUntilThresholdC(b *testing.B) {
 		cls := cluster.ClusterSeeds(f.dist, ss, cluster.DefaultParams(), nil, 0)
 		items = append(items, work{read, ss, cls})
 	}
-	env := &Env{Graph: f.pg.Graph, Bi: f.bi.NewBiReader(256)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := items[i%len(items)]
-		ProcessUntilThresholdC(env, w.read, w.ss, w.cls, Params{}, 0)
+	// scratch is the mapper's configuration: one Scratch reused across
+	// reads; nil is the Env{Graph, Bi} form, a fresh one per call.
+	for _, bc := range []struct {
+		name    string
+		scratch *Scratch
+	}{{"scratch", new(Scratch)}, {"nil", nil}} {
+		b.Run(bc.name, func(b *testing.B) {
+			env := &Env{Graph: f.pg.Graph, Bi: f.bi.NewBiReader(256), Scratch: bc.scratch}
+			for _, w := range items {
+				ProcessUntilThresholdC(env, w.read, w.ss, w.cls, Params{}, 0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := items[i%len(items)]
+				ProcessUntilThresholdC(env, w.read, w.ss, w.cls, Params{}, 0)
+			}
+		})
 	}
 }

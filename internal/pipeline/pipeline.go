@@ -93,7 +93,8 @@ type Emitter interface {
 // CSVEmitter writes the proxy's CSV format, byte-identical to
 // core.WriteCSV over the same workload.
 type CSVEmitter struct {
-	bw *bufio.Writer
+	bw  *bufio.Writer
+	buf []byte // one record's rows, reused across records
 }
 
 // NewCSVEmitter writes the header and returns the emitter. Call Flush when
@@ -108,7 +109,9 @@ func NewCSVEmitter(w io.Writer) (*CSVEmitter, error) {
 
 // Emit implements Emitter.
 func (e *CSVEmitter) Emit(rec *seeds.ReadSeeds, exts []extend.Extension) error {
-	return core.WriteCSVRecord(e.bw, rec, exts)
+	e.buf = core.AppendCSVRecord(e.buf[:0], rec, exts)
+	_, err := e.bw.Write(e.buf)
+	return err
 }
 
 // Flush drains the buffered output.

@@ -162,6 +162,8 @@ type Reader struct {
 	stream    bool // version 2: remaining is unknown until the footer
 	done      bool
 	read      uint64
+	buf       []byte  // name and packed-base bytes, reused across records
+	score     [4]byte // one seed's score bytes
 }
 
 // NewReader validates the header and returns a streaming reader.
@@ -216,6 +218,14 @@ func noCleanEOF(err error) error {
 	return err
 }
 
+// bytes returns the reader's reusable buffer resized to n bytes.
+func (r *Reader) bytes(n int) []byte {
+	if cap(r.buf) < n {
+		r.buf = make([]byte, n)
+	}
+	return r.buf[:n]
+}
+
 // Next reads the next record, or io.EOF after the last one.
 func (r *Reader) Next() (*ReadSeeds, error) {
 	if r.done || (!r.stream && r.remaining == 0) {
@@ -244,14 +254,15 @@ func (r *Reader) Next() (*ReadSeeds, error) {
 	if nameLen > 1<<16 {
 		return nil, fmt.Errorf("seeds: implausible name length %d", nameLen)
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(r.br, name); err != nil {
-		return nil, fmt.Errorf("seeds: name: %w", err)
-	}
 	// From here on the record has started: a clean EOF from the underlying
 	// reader is a truncation, and must surface as an error — never as the
 	// bare io.EOF that callers read as a complete stream (and that would
 	// leave a v2 Reader's Remaining() stuck at -1).
+	name := r.bytes(int(nameLen))
+	if _, err := io.ReadFull(r.br, name); err != nil {
+		return nil, fmt.Errorf("seeds: name: %w", noCleanEOF(err))
+	}
+	nameStr := string(name)
 	fragP1, err := get()
 	if err != nil {
 		return nil, fmt.Errorf("seeds: fragment: %w", noCleanEOF(err))
@@ -267,9 +278,10 @@ func (r *Reader) Next() (*ReadSeeds, error) {
 	if seqLen > 1<<20 {
 		return nil, fmt.Errorf("seeds: implausible read length %d", seqLen)
 	}
-	data := make([]byte, (seqLen+3)/4)
+	// The packed bases only live until Unpack copies them out.
+	data := r.bytes(int(seqLen+3) / 4)
 	if _, err := io.ReadFull(r.br, data); err != nil {
-		return nil, fmt.Errorf("seeds: bases: %w", err)
+		return nil, fmt.Errorf("seeds: bases: %w", noCleanEOF(err))
 	}
 	packed, err := dna.PackedFromRaw(data, int(seqLen))
 	if err != nil {
@@ -291,7 +303,7 @@ func (r *Reader) Next() (*ReadSeeds, error) {
 	}
 	rs := &ReadSeeds{
 		Read: dna.Read{
-			Name:     string(name),
+			Name:     nameStr,
 			Seq:      packed.Unpack(),
 			Fragment: int(fragP1) - 1,
 			End:      int(end),
@@ -315,15 +327,14 @@ func (r *Reader) Next() (*ReadSeeds, error) {
 		if err != nil {
 			return nil, fmt.Errorf("seeds: seed %d flags: %w", i, noCleanEOF(err))
 		}
-		var f [4]byte
-		if _, err := io.ReadFull(r.br, f[:]); err != nil {
-			return nil, fmt.Errorf("seeds: seed %d score: %w", i, err)
+		if _, err := io.ReadFull(r.br, r.score[:]); err != nil {
+			return nil, fmt.Errorf("seeds: seed %d score: %w", i, noCleanEOF(err))
 		}
 		rs.Seeds = append(rs.Seeds, Seed{
 			Pos:     vgraph.Position{Node: vgraph.NodeID(node), Off: int32(off)},
 			ReadOff: int32(readOff),
 			Rev:     flags&1 != 0,
-			Score:   math.Float32frombits(binary.LittleEndian.Uint32(f[:])),
+			Score:   math.Float32frombits(binary.LittleEndian.Uint32(r.score[:])),
 		})
 	}
 	r.read++

@@ -2,6 +2,7 @@ package seeds
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -337,6 +338,91 @@ func TestReaderTruncated(t *testing.T) {
 	}
 	if !sawErr {
 		t.Error("truncated stream read without error")
+	}
+}
+
+// TestReaderTruncatedInRecord cuts a one-record capture exactly where the
+// name, the packed bases, and a seed's score begin. A clean EOF there is a
+// truncation: Next must report io.ErrUnexpectedEOF, never anything that
+// errors.Is reads as io.EOF.
+func TestReaderTruncatedInRecord(t *testing.T) {
+	rec := ReadSeeds{
+		Read: dna.Read{Name: "r1", Seq: randomSeq(30, 3), Fragment: -1},
+		Seeds: []Seed{
+			{Pos: vgraph.Position{Node: 7, Off: 2}, ReadOff: 4, Score: 1.5},
+			{Pos: vgraph.Position{Node: 9, Off: 0}, ReadOff: 11, Rev: true, Score: 2},
+		},
+	}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write(&rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+
+	// Walk the record layout to the three offsets.
+	uv := func(v uint64) int { return len(binary.AppendUvarint(nil, v)) }
+	nameAt := 16 + uv(uint64(len(rec.Read.Name)))
+	basesAt := nameAt + len(rec.Read.Name) + uv(0) + uv(0) + uv(uint64(len(rec.Read.Seq)))
+	scoreAt := basesAt + (len(rec.Read.Seq)+3)/4 + uv(uint64(len(rec.Seeds)))
+	s0 := rec.Seeds[0]
+	scoreAt += uv(uint64(s0.Pos.Node)) + uv(uint64(s0.Pos.Off)) + uv(uint64(s0.ReadOff)) + uv(0)
+
+	for _, cut := range []struct {
+		name string
+		at   int
+	}{{"name", nameAt}, {"bases", basesAt}, {"score", scoreAt}} {
+		r, err := NewReader(bytes.NewReader(data[:cut.at]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = r.Next()
+		if errors.Is(err, io.EOF) || !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("cut at %s (byte %d): err = %v, want a wrapped io.ErrUnexpectedEOF", cut.name, cut.at, err)
+		}
+	}
+	// The layout walk lands where claimed: the untruncated capture decodes.
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.Next(); err != nil || !reflect.DeepEqual(*got, rec) {
+		t.Fatalf("full capture: %+v, %v", got, err)
+	}
+}
+
+// TestReaderNextAllocs bounds a record's decode cost: the name, the bases,
+// the record and its seed slice — nothing per seed.
+func TestReaderNextAllocs(t *testing.T) {
+	recs := sampleRecords(5, 1)
+	recs[0].Seeds = make([]Seed, 40)
+	var buf bytes.Buffer
+	w, _ := NewStreamWriter(&buf)
+	for i := 0; i < 200; i++ {
+		if err := w.Write(&recs[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := r.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("Next allocates %.1f times per 40-seed record, want at most 4", allocs)
 	}
 }
 
