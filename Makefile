@@ -7,7 +7,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: build vet fmt-check test verify race bench-smoke fuzz-smoke serve-smoke lint escapecheck staticcheck govulncheck perfdiff pgo-capture pgo-verify ci
+.PHONY: build vet fmt-check test verify race bench-smoke fuzz-smoke serve-smoke lint escapecheck staticcheck govulncheck perfdiff ci
 
 build:
 	$(GO) build ./...
@@ -26,14 +26,17 @@ test:
 # verify is the repo's tier-1 gate (see ROADMAP.md).
 verify: build test
 
-# The heavily concurrent packages run under the race detector. The giraffe
-# emulator and trace recorder ride along in -short mode (their slowest
-# single-threaded tests are skipped; the multi-threaded ones still run) —
-# that includes the streaming extraction path (ExtractSource prefetcher and
-# its differential harness) plus the fastq/seeds readers feeding it. The obs
-# registry is scraped concurrently with recording, so it runs here too, and
-# so does the serving stack (pipeline.Session lives in internal/pipeline;
-# internal/serve layers concurrent HTTP admission/deadline/drain on top).
+# The heavily concurrent packages run under the race detector: the mapping
+# engine's claim queue and worker pool (internal/sched) and its three
+# callers — batch core.Mapper.Run, the streaming pipeline.Run and the
+# serving pipeline.Session — plus internal/serve, which layers concurrent
+# HTTP admission/deadline/drain on top of the Session. The giraffe emulator
+# rides along in -short mode (its slowest single-threaded tests are
+# skipped; the multi-threaded ones still run) — that includes the streaming
+# extraction path (ExtractSource prefetcher and its differential harness)
+# plus the fastq/seeds readers feeding it. The trace recorder and the obs
+# registry are written by every worker and scraped concurrently with
+# recording, so they run here too.
 # internal/gbwt joins for the epoch-published shared cache (lock-free
 # snapshot readers racing the builder's republish); internal/workload rides
 # along for the zipf sampler feeding those stress tests.
@@ -137,29 +140,6 @@ perfdiff:
 		-candidate $(PERFDIFF_DIR)/zipf/profiles -allow-missing-baseline \
 		-report $(PERFDIFF_DIR)/zipf/profdiff.md $(PROFDIFF_FLAGS)
 	@echo "reports: $(PERFDIFF_DIR)/zipf/perfdiff.md $(PERFDIFF_DIR)/zipf/profdiff.md"
-
-# pgo-capture distills a representative capture into the committed
-# default.pgo: the perfdiff workload runs with the continuous profiler on,
-# then `profdiff -merge` sums the rotated CPU segments (and any baseline
-# segments already checked in) into one profile the compiler reads with
-# `go build -pgo=default.pgo`. Commit the refreshed default.pgo after
-# deliberate hot-path changes; pgo-verify proves the committed profile
-# still drives a clean build.
-PGO_DIR ?= pgo-run
-pgo-capture:
-	mkdir -p $(PGO_DIR)
-	$(GO) run ./cmd/genworkload -input A-human -scale 20 -outdir $(PGO_DIR)
-	$(GO) run ./cmd/minigiraffe -gbz $(PGO_DIR)/A-human.gbz \
-		-seeds $(PGO_DIR)/A-human-seeds.bin -threads 4 -stream \
-		-obs -out $(PGO_DIR)/out.csv \
-		-profile $(PGO_DIR)/profiles \
-		-manifest $(PGO_DIR)/run-manifest.json
-	$(GO) run ./cmd/profdiff -merge -o default.pgo $(PGO_DIR)/profiles
-	$(MAKE) pgo-verify
-
-pgo-verify:
-	$(GO) build -pgo=default.pgo ./...
-	@echo "pgo: default.pgo drives a clean build"
 
 govulncheck:
 	@if command -v govulncheck >/dev/null 2>&1; then \

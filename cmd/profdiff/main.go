@@ -9,12 +9,6 @@
 // Usage:
 //
 //	profdiff -baseline results/baseline/profiles -candidate obs-smoke/profiles -report profdiff.md
-//	profdiff -merge -o default.pgo obs-smoke/profiles
-//
-// The -merge mode combines the input profiles/segment directories into one
-// profile (summing samples with identical stacks and labels) and writes it
-// to -o — `make pgo-capture` uses it to distill bench-smoke captures into
-// the committed default.pgo.
 //
 // Exit status: 0 = within thresholds, 1 = regression, 2 = usage or load
 // error.
@@ -40,42 +34,7 @@ func main() {
 	minShare := flag.Float64("min-share", 0, "candidate flat share below which a rise is noise (default 0.05 = 5%)")
 	top := flag.Int("top", 0, "rows in the report (default 20; failed rows always shown)")
 	allowMissing := flag.Bool("allow-missing-baseline", false, "exit 0 with a notice when the baseline does not exist yet")
-	merge := flag.Bool("merge", false, "merge mode: combine the positional inputs into one profile")
-	out := flag.String("o", "", "merge mode: output file (required with -merge)")
 	flag.Parse()
-
-	if *merge {
-		if *out == "" || flag.NArg() == 0 {
-			fmt.Fprintln(os.Stderr, "profdiff: -merge needs -o FILE and at least one input profile or segment directory")
-			os.Exit(2)
-		}
-		profiles := make([]*obs.Profile, 0, flag.NArg())
-		for _, path := range flag.Args() {
-			p, err := obs.LoadCPUProfiles(path)
-			if err != nil {
-				log.Print(err)
-				os.Exit(2)
-			}
-			profiles = append(profiles, p)
-		}
-		merged, err := obs.MergePProf(profiles)
-		if err != nil {
-			log.Print(err)
-			os.Exit(2)
-		}
-		data, err := merged.EncodePProf()
-		if err != nil {
-			log.Print(err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			log.Print(err)
-			os.Exit(2)
-		}
-		fmt.Printf("profdiff: merged %d input(s), %d samples, %v CPU -> %s\n",
-			flag.NArg(), len(merged.Samples), obsTotal(merged), *out)
-		return
-	}
 
 	if *baseline == "" || *candidate == "" {
 		flag.Usage()
@@ -123,24 +82,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// obsTotal sums the merged profile's CPU column for the log line.
-func obsTotal(p *obs.Profile) string {
-	var total int64
-	vi := len(p.SampleTypes) - 1
-	for i, vt := range p.SampleTypes {
-		if vt.Type == "cpu" {
-			vi = i
-		}
-	}
-	if vi < 0 {
-		return "0s"
-	}
-	for _, s := range p.Samples {
-		if vi < len(s.Values) {
-			total += s.Values[vi]
-		}
-	}
-	return fmt.Sprintf("%.2fs", float64(total)/1e9)
 }

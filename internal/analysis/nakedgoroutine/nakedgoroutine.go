@@ -1,7 +1,8 @@
-// Package nakedgoroutine requires every `go` statement outside the two
-// scheduler packages (internal/sched and internal/pipeline, whose entire job
-// is goroutine lifecycle management) to be tied to a completion mechanism:
-// a sync.WaitGroup, a context.Context, or a channel the goroutine signals.
+// Package nakedgoroutine requires every `go` statement outside the
+// scheduler package (internal/sched, whose worker pool is the mapping
+// engine's goroutine lifecycle management) to be tied to a completion
+// mechanism: a sync.WaitGroup, a context.Context, or a channel the
+// goroutine signals.
 // A goroutine with none of these cannot be joined or cancelled — it leaks by
 // construction, and under the autotuner's scheduler × batch × cache sweeps a
 // leaked worker from one configuration silently perturbs the next.
@@ -24,15 +25,14 @@ import (
 // `go` statements are the synchronization primitives the rest of the tree
 // is required to use.
 var Exempt = map[string]bool{
-	"repro/internal/pipeline": true,
-	"repro/internal/sched":    true,
+	"repro/internal/sched": true,
 }
 
 // Analyzer is the nakedgoroutine check.
 var Analyzer = &analysis.Analyzer{
 	Name: "nakedgoroutine",
 	Doc: "report go statements not tied to a WaitGroup, context, or " +
-		"channel (outside internal/sched and internal/pipeline)",
+		"channel (outside internal/sched)",
 	Run: run,
 }
 

@@ -111,7 +111,7 @@ func Run(f *gbz.File, records []seeds.ReadSeeds, opts Options) (*Result, error) 
 	return m.Run(records)
 }
 
-// defaultThreads mirrors sched's default worker count.
+// defaultThreads is the worker count when Options.Threads ≤ 0.
 func defaultThreads() int { return runtime.GOMAXPROCS(0) }
 
 // WriteCSV emits the proxy's raw mapping output: one row per extension with

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -154,12 +155,12 @@ func (m *Mapper) sharedRow(worker int) int {
 }
 
 // TryPublishEpoch is the batch-boundary hook of the epoch discipline:
-// callers (pipeline workers, the batch scheduler's callback, the serving
-// session) invoke it after finishing a batch, off the record-mapping hot
-// path. It ticks the epoch clock, and — when this call wins the
-// CAS-elected publication — rebuilds both directions' snapshots from the
-// accumulated access-frequency feedback, records the build cost, and
-// leaves the duration for this worker's next batch to attribute in its
+// every mode's pool worker (batch Run, the streaming pipeline, the
+// serving session) invokes it after finishing a batch, off the
+// record-mapping hot path. It ticks the epoch clock, and — when this call
+// wins the CAS-elected publication — rebuilds both directions' snapshots
+// from the accumulated access-frequency feedback, records the build cost,
+// and leaves the duration for this worker's next batch to attribute in its
 // exemplars. Returns whether this call published. No-op (false) when the
 // epoch cache is off.
 func (m *Mapper) TryPublishEpoch(worker int) bool {
@@ -371,12 +372,13 @@ func ReaderCacheStats(r gbwt.BiReader) (s gbwt.CacheStats) {
 }
 
 // Run executes the batch proxy over records on the prepared mapper: the
-// whole workload is scheduled at once under the configured policy, with each
-// batch getting a fresh CachedGBWT.
+// whole workload is queued at once on the scheduler's worker pool, with
+// each batch getting a fresh CachedGBWT.
 func (m *Mapper) Run(records []seeds.ReadSeeds) (*Result, error) {
 	opts := m.opts
-	// Worker count resolution mirrors sched.Run's normalisation so the
-	// per-worker stats slices are sized correctly.
+	if opts.Scheduler < sched.Dynamic || opts.Scheduler > sched.Static {
+		return nil, fmt.Errorf("core: unknown scheduler kind %d", opts.Scheduler)
+	}
 	threads := opts.Threads
 	if threads <= 0 {
 		threads = defaultThreads()
@@ -384,39 +386,34 @@ func (m *Mapper) Run(records []seeds.ReadSeeds) (*Result, error) {
 	if threads > len(records) && len(records) > 0 {
 		threads = len(records)
 	}
-	if threads < 1 {
-		threads = 1
-	}
 	run := m
 	if threads != 1 {
 		run = m.WithoutProbe()
 	}
 	res := &Result{Extensions: make([][]extend.Extension, len(records))}
 	cacheStats := make([]gbwt.CacheStats, threads)
+	bs := opts.BatchSize
+	nb := (len(records) + bs - 1) / bs
 
-	// pprof labels at batch granularity: the claim callback re-labels its
-	// goroutine per claimed batch (scheduler workers are reused across
-	// batches), never per record, so -profile captures split by worker with
-	// the map hot path untouched.
-	labels := obs.NewProfLabels(obs.ClassBatch, threads)
 	start := time.Now()
-	stats, err := sched.RunBatches(sched.Config{
-		Kind:      opts.Scheduler,
-		Threads:   threads,
-		BatchSize: opts.BatchSize,
-		Obs:       opts.Obs,
-	}, len(records), func(worker, lo, hi int) {
-		labels.ApplyMap(worker)
-		cacheStats[worker].Add(run.MapBatch(worker, records[lo:hi], lo, res.Extensions[lo:hi]))
-		// Batch boundary: tick the epoch clock (publishes the next shared
-		// snapshot every interval; no-op without the epoch cache).
-		run.TryPublishEpoch(worker)
-	})
-	if err != nil {
-		return nil, err
+	pool := sched.NewPool(opts.Scheduler, threads, nb, opts.Obs, obs.NewProfLabels(obs.ClassBatch, threads),
+		func(worker, lo int) int {
+			hi := min(lo+bs, len(records))
+			cacheStats[worker].Add(run.MapBatch(worker, records[lo:hi], lo, res.Extensions[lo:hi]))
+			// Batch boundary: tick the epoch clock (publishes the next shared
+			// snapshot every interval; no-op without the epoch cache).
+			run.TryPublishEpoch(worker)
+			return hi - lo
+		})
+	// The queue holds every batch, so no push blocks. Batch i is pinned to
+	// worker i·threads/nb: even contiguous shares, which Static keeps and
+	// WorkStealing rebalances by stealing.
+	for i := 0; i < nb; i++ {
+		pool.Push(i*threads/nb, i*bs)
 	}
+	pool.Close()
 	res.Makespan = time.Since(start)
-	res.Sched = stats
+	res.Sched = pool.Stats()
 	for _, s := range cacheStats {
 		res.Cache.Add(s)
 	}

@@ -12,13 +12,11 @@ import (
 
 // A stdlib-only codec for the pprof protobuf profile format
 // (github.com/google/pprof/proto/profile.proto), hand-rolled against the
-// protobuf wire encoding so cmd/profdiff and `make pgo-capture` need no
-// third-party dependency. The codec is deliberately lossy where loss is
-// safe: mapping tables and instruction addresses are dropped (profdiff
-// aligns by symbol, and the compiler's PGO pass consumes only function
-// names, file names, line numbers, and start lines), but every frame —
-// including inlined frames — survives a parse/encode round trip with its
-// call-site line intact, so a merged capture still drives `go build -pgo`.
+// protobuf wire encoding so cmd/profdiff needs no third-party dependency.
+// The codec is deliberately lossy where loss is safe: mapping tables and
+// instruction addresses are dropped (profdiff aligns by symbol), but every
+// frame — including inlined frames — survives a parse/encode round trip
+// with its function, file, call-site line and start line intact.
 
 // ValueType is one sample dimension, e.g. {cpu, nanoseconds}.
 type ValueType struct {
@@ -773,7 +771,7 @@ func (p *Profile) EncodePProf() ([]byte, error) {
 // one: samples with the same stack and labels sum their values, durations
 // add, and the earliest start time wins. This is how rotated CPU segments
 // (disjoint in time by construction) reassemble into the whole-run profile
-// behind profdiff and `make pgo-capture`.
+// behind profdiff.
 func MergePProf(profiles []*Profile) (*Profile, error) {
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("pprof: nothing to merge")

@@ -17,13 +17,13 @@ import (
 // the pprof label taxonomy that makes those samples decomposable offline.
 // Where the metric series answers "when did this run degrade", the profile
 // segments answer "which function" — cmd/profdiff aligns two captures by
-// symbol and gates CI on flat/cum regressions, and `make pgo-capture`
-// distills the same capture into the committed default.pgo.
+// symbol and gates CI on flat/cum regressions.
 
-// pprof label taxonomy. Labels are applied at sub-batch granularity — a
-// worker sets its goroutine labels when it claims a batch, never per record —
-// so the hot map path stays allocation-free while every CPU sample still
-// carries its pipeline stage, worker index, and serving-vs-batch class.
+// pprof label taxonomy. Labels are applied per goroutine or per stage — a
+// pool worker labels itself once when it starts, never per batch or per
+// record — so the hot map path stays allocation-free while every CPU sample
+// still carries its pipeline stage, worker index, and serving-vs-batch
+// class.
 // Label keys must be these named constants (the metricname analyzer enforces
 // it), exactly as metric and span names must: profdiff groups by key, so a
 // runtime-assembled key would silently split the breakdown.
@@ -53,7 +53,7 @@ const (
 
 // ProfLabels is a prebuilt set of goroutine-label contexts for one execution
 // path: one context per (stage, worker) pair, constructed once at pool
-// startup so applying labels at a sub-batch boundary is an array index plus
+// startup so applying labels at a stage switch is an array index plus
 // pprof.SetGoroutineLabels — no per-batch allocation, nothing at all per
 // record. A nil *ProfLabels is a no-op on every method, mirroring the
 // nil-safe registry handles.

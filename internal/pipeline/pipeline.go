@@ -17,7 +17,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -122,8 +121,8 @@ type Stats struct {
 	// Reads and Batches count what flowed through the pipeline.
 	Reads   int
 	Batches int
-	// Sched reports per-worker records processed and steals, as the batch
-	// scheduler does.
+	// Sched reports per-worker records processed and steals, as batch
+	// mode does.
 	Sched sched.Stats
 	// Cache aggregates every batch's CachedGBWT statistics.
 	Cache gbwt.CacheStats
@@ -195,10 +194,6 @@ func Run(m *core.Mapper, src Source, emit Emitter, opts Options) (*Stats, error)
 	// shards to 0, which stays correct — just shared — if it was sized
 	// smaller).
 	reg := m.Options().Obs
-	// The first Workers shards are map workers: scrapes derive the claim
-	// imbalance and steal-share gauges over exactly that population (the
-	// ingest/emit shards below never claim batches).
-	reg.SetWorkerShards(opts.Workers)
 	ingestShard, emitShard := opts.Workers, opts.Workers+1
 	mReads := reg.Counter(obs.MetricPipelineReads)
 	mBatches := reg.Counter(obs.MetricPipelineBatches)
@@ -207,25 +202,45 @@ func Run(m *core.Mapper, src Source, emit Emitter, opts Options) (*Stats, error)
 	hMap := reg.Histogram(obs.MetricStageMap)
 	hEmit := reg.Histogram(obs.MetricStageEmit)
 	hBatch := reg.Histogram(obs.MetricBatchLatency)
-	mClaims := reg.Counter(obs.MetricSchedClaims)
-	mSteals := reg.Counter(obs.MetricSchedSteals)
-	// pprof label contexts, prebuilt once per run: stage goroutines label
-	// themselves at batch boundaries (never per record) so a -profile
-	// capture decomposes by stage and worker at zero cost to the hot path.
+	// pprof label contexts, prebuilt once per run: the ingest and emit
+	// stages label their goroutines here, the pool its map workers, so a
+	// -profile capture decomposes by stage and worker at zero cost to the
+	// hot path.
 	labels := obs.NewProfLabels(obs.ClassBatch, opts.Workers)
 
-	st := &Stats{Sched: sched.Stats{Processed: make([]int64, opts.Workers)}}
+	st := &Stats{}
 	cacheStats := make([]gbwt.CacheStats, opts.Workers)
-	cq := newClaimQueue[*batch](opts.Scheduler, opts.Workers, opts.Depth)
 	done := make(chan *batch, opts.Depth)
 	abortCh := make(chan struct{})
+	start := time.Now()
+
+	// Map: the pool claims batches under the scheduling policy and hands
+	// completed batches to emit.
+	pool := sched.NewPool(opts.Scheduler, opts.Workers, opts.Depth, reg, labels, func(worker int, b *batch) int {
+		t0 := time.Now()
+		cacheStats[worker].Add(m.MapBatch(worker, b.recs, b.base, b.exts))
+		// Batch boundary: tick the shared-cache epoch clock (no-op unless
+		// the mapper runs the epoch discipline).
+		m.TryPublishEpoch(worker)
+		d := time.Since(t0)
+		b.mapSecs = d.Seconds()
+		if rec != nil {
+			rec.Record(worker, trace.RegionMapBatch, t0, d)
+		}
+		hMap.Observe(worker, d)
+		select {
+		case done <- b:
+		case <-abortCh:
+		}
+		return len(b.recs)
+	})
 	var failOnce sync.Once
 	var firstErr error
 	fail := func(err error) {
 		failOnce.Do(func() {
 			firstErr = err
 			close(abortCh)
-			cq.abort()
+			pool.Abort()
 		})
 	}
 	aborted := func() bool {
@@ -237,12 +252,13 @@ func Run(m *core.Mapper, src Source, emit Emitter, opts Options) (*Stats, error)
 		}
 	}
 
-	start := time.Now()
-
 	// Ingest: read bounded batches from the source; push blocks when the
-	// in-flight window is full, which is what bounds memory.
+	// in-flight window is full, which is what bounds memory. Only this
+	// goroutine closes done, after the pool has drained, so the emit loop
+	// below — and with it Run — never returns while Next is in flight.
 	go func() {
-		defer cq.close()
+		defer close(done)
+		defer pool.Close()
 		labels.ApplyIngest()
 		seq, base := 0, 0
 		for {
@@ -266,7 +282,7 @@ func Run(m *core.Mapper, src Source, emit Emitter, opts Options) (*Stats, error)
 					ingested:   time.Now(),
 					ingestSecs: d.Seconds(),
 				}
-				if !cq.push(b.seq, b) {
+				if !pool.Push(b.seq, b) {
 					return
 				}
 				mInFlight.Add(ingestShard, 1)
@@ -277,49 +293,6 @@ func Run(m *core.Mapper, src Source, emit Emitter, opts Options) (*Stats, error)
 				return
 			}
 		}
-	}()
-
-	// Map: the persistent worker pool claims batches under the scheduling
-	// policy and hands completed batches to emit.
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			labels.ApplyMap(worker)
-			for {
-				b, stolen, ok := cq.pop(worker)
-				if !ok {
-					return
-				}
-				mClaims.Inc(worker)
-				if stolen {
-					atomic.AddInt64(&st.Sched.Steals, 1)
-					mSteals.Inc(worker)
-				}
-				t0 := time.Now()
-				cacheStats[worker].Add(m.MapBatch(worker, b.recs, b.base, b.exts))
-				// Batch boundary: tick the shared-cache epoch clock (no-op
-				// unless the mapper runs the epoch discipline).
-				m.TryPublishEpoch(worker)
-				d := time.Since(t0)
-				b.mapSecs = d.Seconds()
-				if rec != nil {
-					rec.Record(worker, trace.RegionMapBatch, t0, d)
-				}
-				hMap.Observe(worker, d)
-				atomic.AddInt64(&st.Sched.Processed[worker], int64(len(b.recs)))
-				select {
-				case done <- b:
-				case <-abortCh:
-					return
-				}
-			}
-		}(w)
-	}
-	go func() {
-		wg.Wait()
-		close(done)
 	}()
 
 	// Emit (in the caller's goroutine): reorder completed batches back into
@@ -367,6 +340,7 @@ func Run(m *core.Mapper, src Source, emit Emitter, opts Options) (*Stats, error)
 		}
 	}
 	st.Makespan = time.Since(start)
+	st.Sched = pool.Stats()
 	for _, cs := range cacheStats {
 		st.Cache.Add(cs)
 	}

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/extend"
@@ -210,6 +212,60 @@ func TestEmitterErrorPropagates(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("emitter error not propagated")
+	}
+}
+
+// stallingSource yields recs; its third Next blocks until release closes,
+// then sleeps before returning, and it records whether a Next call is in
+// flight.
+type stallingSource struct {
+	recs     []seeds.ReadSeeds
+	calls    int
+	release  chan struct{}
+	inFlight atomic.Bool
+}
+
+func (s *stallingSource) Next() (*seeds.ReadSeeds, error) {
+	s.inFlight.Store(true)
+	defer s.inFlight.Store(false)
+	s.calls++
+	if s.calls == 3 {
+		<-s.release
+		time.Sleep(50 * time.Millisecond)
+	}
+	if s.calls > len(s.recs) {
+		return nil, io.EOF
+	}
+	return &s.recs[s.calls-1], nil
+}
+
+// releasingEmitter fails on its first record and releases the source.
+type releasingEmitter struct{ release chan struct{} }
+
+func (e releasingEmitter) Emit(*seeds.ReadSeeds, []extend.Extension) error {
+	close(e.release)
+	return errors.New("emit failed")
+}
+
+// TestRunWaitsForIngestOnAbort: Run must not return while the ingest stage
+// is still inside Source.Next, or a caller that closes its source after Run
+// (defer src.Close()) closes it under a live reader.
+func TestRunWaitsForIngestOnAbort(t *testing.T) {
+	f, recs := fixture(t, 0.03)
+	m, err := core.NewMapper(f, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	src := &stallingSource{recs: recs, release: release}
+	_, err = pipeline.Run(m, src, releasingEmitter{release: release}, pipeline.Options{
+		Workers: 2, BatchSize: 1,
+	})
+	if err == nil {
+		t.Fatal("emitter error not propagated")
+	}
+	if src.inFlight.Load() {
+		t.Fatal("Run returned while Source.Next was still running")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/extend"
 	"repro/internal/gbwt"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/seeds"
 )
 
@@ -22,18 +23,12 @@ var (
 )
 
 // BatchMapper is the mapping engine a Session drives — the cancellable
-// batch kernel of core.Mapper, abstracted so tests can substitute a
-// controllable fake. *core.Mapper satisfies it.
+// batch kernel of core.Mapper plus its batch-boundary epoch tick,
+// abstracted so tests can substitute a controllable fake. *core.Mapper
+// satisfies it; its TryPublishEpoch is a no-op unless the epoch cache is
+// enabled.
 type BatchMapper interface {
 	MapBatchUntil(worker int, recs []seeds.ReadSeeds, base int, out [][]extend.Extension, stop *atomic.Bool, sb *obs.SubBatch) (gbwt.CacheStats, int)
-}
-
-// EpochPublisher is the optional batch-boundary hook of the epoch-published
-// shared cache: a Session probes its BatchMapper for it once at
-// construction and, when present, ticks it after every mapped sub-batch.
-// *core.Mapper satisfies it (a no-op unless the epoch cache is enabled);
-// test fakes that only implement BatchMapper are unaffected.
-type EpochPublisher interface {
 	TryPublishEpoch(worker int) bool
 }
 
@@ -43,31 +38,24 @@ type EpochPublisher interface {
 // building block behind cmd/giraffed.
 //
 // Each Submit is split into sub-batches of Options.BatchSize (preserving the
-// per-batch CachedGBWT discipline, §VII-B) which enter the same bounded
-// claim queue the streaming pipeline uses, under the same scheduling
-// policies. Admission is all-or-nothing and non-blocking: a request whose
-// sub-batches would overflow Options.Depth is rejected with ErrQueueFull
-// before any of them queue. Request contexts cancel in-flight work: a
-// deadline that fires while sub-batches are queued skips them entirely, and
-// one that fires while a worker is mapping stops the kernel at the next
-// record boundary (core.Mapper.MapBatchUntil).
+// per-batch CachedGBWT discipline, §VII-B) which enter the same worker pool
+// and bounded claim queue (package sched) the streaming pipeline uses,
+// under the same scheduling policies. Admission is all-or-nothing and
+// non-blocking: a request whose sub-batches would overflow Options.Depth is
+// rejected with ErrQueueFull before any of them queue. Request contexts
+// cancel in-flight work: a deadline that fires while sub-batches are queued
+// skips them entirely, and one that fires while a worker is mapping stops
+// the kernel at the next record boundary (core.Mapper.MapBatchUntil).
 type Session struct {
 	m    BatchMapper
-	ep   EpochPublisher // non-nil when m also publishes epochs
 	opts Options
-	cq   *claimQueue[*sjob]
-	wg   sync.WaitGroup
+	pool *sched.Pool[*sjob]
 
 	closed    atomic.Bool
 	nextIndex atomic.Int64 // global read index: slow-exemplar attribution
 
 	mu    sync.Mutex
 	cache gbwt.CacheStats
-
-	// labels carry the serving-class pprof labels the pool workers wear, so
-	// a -profile capture splits map time between the serving path and batch
-	// runs.
-	labels *obs.ProfLabels
 
 	// Metric handles are nil-safe no-ops when reg is nil.
 	submitShard   int
@@ -78,8 +66,6 @@ type Session struct {
 	queueRejects  *obs.Counter
 	canceled      *obs.Counter
 	canceledReads *obs.Counter
-	claims        *obs.Counter
-	steals        *obs.Counter
 	pipeReads     *obs.Counter
 	pipeBatches   *obs.Counter
 	hService      *obs.Histogram
@@ -118,11 +104,9 @@ func NewSession(m BatchMapper, opts Options, reg *obs.Registry) (*Session, error
 		return nil, errors.New("pipeline: nil mapper")
 	}
 	opts = opts.normalize()
-	reg.SetWorkerShards(opts.Workers)
 	s := &Session{
 		m:    m,
 		opts: opts,
-		cq:   newClaimQueue[*sjob](opts.Scheduler, opts.Workers, opts.Depth),
 
 		submitShard:   opts.Workers,
 		qDepth:        reg.Gauge(obs.MetricServeQueueDepth),
@@ -132,22 +116,16 @@ func NewSession(m BatchMapper, opts Options, reg *obs.Registry) (*Session, error
 		queueRejects:  reg.Counter(obs.MetricServeQueueRejects),
 		canceled:      reg.Counter(obs.MetricServeCanceled),
 		canceledReads: reg.Counter(obs.MetricServeCanceledReads),
-		claims:        reg.Counter(obs.MetricSchedClaims),
-		steals:        reg.Counter(obs.MetricSchedSteals),
 		pipeReads:     reg.Counter(obs.MetricPipelineReads),
 		pipeBatches:   reg.Counter(obs.MetricPipelineBatches),
 		hService:      reg.Histogram(obs.MetricServeServiceLatency),
 		hQueueWait:    reg.Histogram(obs.MetricServeQueueWait),
 		hMap:          reg.Histogram(obs.MetricStageMap),
 	}
-	if ep, ok := m.(EpochPublisher); ok {
-		s.ep = ep
-	}
-	s.labels = obs.NewProfLabels(obs.ClassServe, opts.Workers)
-	for w := 0; w < opts.Workers; w++ {
-		s.wg.Add(1)
-		go s.worker(w)
-	}
+	// The serving-class pprof labels split a -profile capture's map time
+	// between the serving path and batch runs.
+	s.pool = sched.NewPool(opts.Scheduler, opts.Workers, opts.Depth, reg,
+		obs.NewProfLabels(obs.ClassServe, opts.Workers), s.work)
 	return s, nil
 }
 
@@ -207,7 +185,7 @@ func (s *Session) SubmitTraced(ctx context.Context, recs []seeds.ReadSeeds, rt *
 	release := context.AfterFunc(ctx, func() { req.stop.Store(true) })
 	defer release()
 
-	if !s.cq.tryPushAll(jobs) {
+	if !s.pool.TryPushAll(jobs) {
 		if s.closed.Load() {
 			return nil, ErrSessionClosed
 		}
@@ -240,59 +218,48 @@ func (s *Session) SubmitTraced(ctx context.Context, recs []seeds.ReadSeeds, rt *
 	}
 }
 
-// worker is one pool member: claim, map (unless the request is already
-// dead), account, signal completion.
-func (s *Session) worker(w int) {
-	defer s.wg.Done()
-	s.labels.ApplyMap(w)
-	for {
-		j, stolen, ok := s.cq.pop(w)
-		if !ok {
-			return
-		}
-		s.qDepth.Add(w, -1)
-		s.claims.Inc(w)
-		if stolen {
-			s.steals.Inc(w)
-		}
-		// The queue-wait span and the serve_queue_wait_seconds histogram see
-		// the same duration value, so sampled traces and the metric agree
-		// exactly on where queueing time went.
-		qw := time.Since(j.enq)
-		s.hQueueWait.Observe(w, qw)
-		j.tr.AddSpan(obs.SpanQueueWait, w, j.enq, qw)
-		if j.req.stop.Load() {
+// work runs one claimed sub-batch on worker w: map it (unless the request
+// is already dead), account, and signal completion. It returns the records
+// mapped.
+func (s *Session) work(w int, j *sjob) (n int) {
+	s.qDepth.Add(w, -1)
+	// The queue-wait span and the serve_queue_wait_seconds histogram see
+	// the same duration value, so sampled traces and the metric agree
+	// exactly on where queueing time went.
+	qw := time.Since(j.enq)
+	s.hQueueWait.Observe(w, qw)
+	j.tr.AddSpan(obs.SpanQueueWait, w, j.enq, qw)
+	if j.req.stop.Load() {
+		s.canceled.Inc(w)
+		s.canceledReads.Add(w, int64(len(j.recs)))
+		j.tr.AddSpan(obs.SpanCancel, w, j.enq.Add(qw), 0)
+	} else {
+		t0 := time.Now()
+		var cs gbwt.CacheStats
+		cs, n = s.m.MapBatchUntil(w, j.recs, j.base, j.out, &j.req.stop, jobSubBatch(j))
+		// Sub-batch boundary: tick the shared-cache epoch clock so the
+		// serving path republishes on the same cadence as the batch
+		// pipeline (no-op when the mapper has no epoch cache).
+		s.m.TryPublishEpoch(w)
+		j.req.mapped.Add(int64(n))
+		s.pipeReads.Add(w, int64(n))
+		s.pipeBatches.Inc(w)
+		dMap := time.Since(t0)
+		s.hMap.Observe(w, dMap)
+		partial := n < len(j.recs)
+		j.tr.AddMapSpan(w, t0, dMap, jobSubBatch(j), partial)
+		if partial {
 			s.canceled.Inc(w)
-			s.canceledReads.Add(w, int64(len(j.recs)))
-			j.tr.AddSpan(obs.SpanCancel, w, j.enq.Add(qw), 0)
-		} else {
-			t0 := time.Now()
-			cs, n := s.m.MapBatchUntil(w, j.recs, j.base, j.out, &j.req.stop, jobSubBatch(j))
-			// Sub-batch boundary: tick the shared-cache epoch clock so the
-			// serving path republishes on the same cadence as the batch
-			// pipeline (no-op when the mapper has no epoch cache).
-			if s.ep != nil {
-				s.ep.TryPublishEpoch(w)
-			}
-			j.req.mapped.Add(int64(n))
-			s.pipeReads.Add(w, int64(n))
-			s.pipeBatches.Inc(w)
-			dMap := time.Since(t0)
-			s.hMap.Observe(w, dMap)
-			partial := n < len(j.recs)
-			j.tr.AddMapSpan(w, t0, dMap, jobSubBatch(j), partial)
-			if partial {
-				s.canceled.Inc(w)
-				s.canceledReads.Add(w, int64(len(j.recs)-n))
-			}
-			s.mu.Lock()
-			s.cache.Add(cs)
-			s.mu.Unlock()
+			s.canceledReads.Add(w, int64(len(j.recs)-n))
 		}
-		if j.req.remaining.Add(-1) == 0 {
-			close(j.req.done)
-		}
+		s.mu.Lock()
+		s.cache.Add(cs)
+		s.mu.Unlock()
 	}
+	if j.req.remaining.Add(-1) == 0 {
+		close(j.req.done)
+	}
+	return n
 }
 
 // jobSubBatch returns the job's kernel-attribution slot, nil for untraced
@@ -309,8 +276,7 @@ func jobSubBatch(j *sjob) *obs.SubBatch {
 // last worker has exited. Idempotent.
 func (s *Session) Close() {
 	s.closed.Store(true)
-	s.cq.close()
-	s.wg.Wait()
+	s.pool.Close()
 }
 
 // CacheStats returns the aggregated per-batch CachedGBWT statistics across

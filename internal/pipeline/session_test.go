@@ -49,6 +49,9 @@ func (f *fakeMapper) MapBatchUntil(worker int, recs []seeds.ReadSeeds, base int,
 	return gbwt.CacheStats{}, mapped
 }
 
+// TryPublishEpoch implements BatchMapper; the fake has no epoch cache.
+func (f *fakeMapper) TryPublishEpoch(int) bool { return false }
+
 func mkRecs(n int) []seeds.ReadSeeds {
 	recs := make([]seeds.ReadSeeds, n)
 	for i := range recs {

@@ -1,20 +1,14 @@
-package pipeline
+package sched
 
-import (
-	"sync"
+import "sync"
 
-	"repro/internal/sched"
-)
-
-// claimQueue is the bounded hand-off between a producer (the streaming
-// ingest stage, or Session.Submit) and the persistent worker pool. It holds
-// at most depth in-flight items (the backpressure bound: a full queue blocks
-// push, or fails tryPushAll), and the scheduling policy decides which queued
-// item a worker claims — the streaming analogue of sched.RunBatches' claim
-// disciplines:
+// claimQueue is the bounded hand-off between a producer and the worker pool.
+// It holds at most depth queued items (the backpressure bound: a full queue
+// blocks push, or fails tryPushAll), and the policy decides which queued
+// item a worker claims:
 //
 //   - Dynamic: one shared FIFO, workers claim in arrival order.
-//   - Static: item seq is pinned to worker seq mod W; no balancing.
+//   - Static: each item is pinned to its owner worker; no balancing.
 //   - WorkStealing: pinned like Static, but an idle worker steals the
 //     oldest item from another worker's backlog, round-robin.
 type claimQueue[T any] struct {
@@ -22,18 +16,18 @@ type claimQueue[T any] struct {
 	avail *sync.Cond // an item was queued, or the queue closed/aborted
 	space *sync.Cond // an item was claimed, or the queue aborted
 
-	kind    sched.Kind
+	kind    Kind
 	queues  [][]T // one FIFO for Dynamic, one per worker otherwise
 	queued  int
 	depth   int
-	nextSeq int // tryPushAll's slot assignment counter
+	nextSeq int // tryPushAll's round-robin owner counter
 	closed  bool
 	aborted bool
 }
 
-func newClaimQueue[T any](kind sched.Kind, workers, depth int) *claimQueue[T] {
+func newClaimQueue[T any](kind Kind, workers, depth int) *claimQueue[T] {
 	n := workers
-	if kind == sched.Dynamic {
+	if kind == Dynamic {
 		n = 1
 	}
 	q := &claimQueue[T]{kind: kind, queues: make([][]T, n), depth: depth}
@@ -42,19 +36,19 @@ func newClaimQueue[T any](kind sched.Kind, workers, depth int) *claimQueue[T] {
 	return q
 }
 
-// push blocks until there is room for v (whose producer-assigned sequence
-// number pins it to a worker under the non-dynamic policies), returning
-// false if the pipeline aborted while waiting.
-func (q *claimQueue[T]) push(seq int, v T) bool {
+// push blocks until there is room for v, which is pinned to worker owner
+// (mod the worker count) under the non-dynamic policies. It returns false
+// if the queue is closed, or aborted while waiting.
+func (q *claimQueue[T]) push(owner int, v T) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.queued >= q.depth && !q.aborted {
 		q.space.Wait()
 	}
-	if q.aborted {
+	if q.closed || q.aborted {
 		return false
 	}
-	q.enqueue(seq, v)
+	q.enqueue(owner, v)
 	return true
 }
 
@@ -62,7 +56,7 @@ func (q *claimQueue[T]) push(seq int, v T) bool {
 // or none, without blocking. It fails once the queue is closed (draining)
 // or when the items would not all fit under the depth bound — the caller
 // turns that into a queue-full rejection instead of queueing unboundedly.
-// Sequence numbers are assigned internally, in admission order.
+// Owners are assigned round-robin, in admission order.
 func (q *claimQueue[T]) tryPushAll(vs []T) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -76,11 +70,11 @@ func (q *claimQueue[T]) tryPushAll(vs []T) bool {
 	return true
 }
 
-// enqueue appends v to seq's slot (caller holds q.mu).
-func (q *claimQueue[T]) enqueue(seq int, v T) {
+// enqueue appends v to owner's slot (caller holds q.mu).
+func (q *claimQueue[T]) enqueue(owner int, v T) {
 	slot := 0
-	if q.kind != sched.Dynamic {
-		slot = seq % len(q.queues)
+	if q.kind != Dynamic {
+		slot = owner % len(q.queues)
 	}
 	q.queues[slot] = append(q.queues[slot], v)
 	q.queued++
@@ -95,17 +89,16 @@ func (q *claimQueue[T]) pop(w int) (v T, stolen, ok bool) {
 	defer q.mu.Unlock()
 	for {
 		if q.aborted {
-			var zero T
-			return zero, false, false
+			return v, false, false
 		}
 		own := 0
-		if q.kind != sched.Dynamic {
+		if q.kind != Dynamic {
 			own = w
 		}
 		if len(q.queues[own]) > 0 {
 			return q.take(own), false, true
 		}
-		if q.kind == sched.WorkStealing {
+		if q.kind == WorkStealing {
 			for off := 1; off < len(q.queues); off++ {
 				s := (w + off) % len(q.queues)
 				if len(q.queues[s]) > 0 {
@@ -114,17 +107,21 @@ func (q *claimQueue[T]) pop(w int) (v T, stolen, ok bool) {
 			}
 		}
 		if q.closed && q.queued == 0 {
-			var zero T
-			return zero, false, false
+			return v, false, false
 		}
 		q.avail.Wait()
 	}
 }
 
-// take removes the oldest item from slot (caller holds q.mu).
+// take removes the oldest item from slot (caller holds q.mu). The vacated
+// element is zeroed so the backing array does not keep a claimed item
+// alive until the slot next reallocates.
 func (q *claimQueue[T]) take(slot int) T {
-	v := q.queues[slot][0]
-	q.queues[slot] = q.queues[slot][1:]
+	s := q.queues[slot]
+	v := s[0]
+	var zero T
+	s[0] = zero
+	q.queues[slot] = s[1:]
 	q.queued--
 	q.space.Broadcast()
 	if q.closed && q.queued == 0 {

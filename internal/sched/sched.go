@@ -1,33 +1,31 @@
-// Package sched provides the parallel schedulers the miniGiraffe paper
-// studies (§V, §VII-B): an OpenMP-style dynamic batch scheduler (the proxy's
-// default), a static partitioner, and the paper's in-house work-stealing
-// scheduler, where the workload is split evenly and idle workers steal
-// batch-sized chunks from victims round-robin using atomic read-modify-write
-// operations. Batch size is one of the three autotuning parameters.
+// Package sched is the mapping engine's scheduler: one bounded claim queue
+// and the persistent worker pool that claims from it. Batch mode
+// (core.Mapper.Run), the streaming pipeline (pipeline.Run) and the serving
+// session (pipeline.Session) all run on this pool; they differ only in how
+// batches enter the queue.
+//
+// The queue implements the three policies the miniGiraffe paper studies
+// (§V, §VII-B): an OpenMP-style dynamic schedule (the proxy's default),
+// static partitioning, and the paper's in-house work stealing, where the
+// work is split evenly and idle workers steal batches from other workers'
+// backlogs round-robin. Batch size is one of the three autotuning
+// parameters.
 package sched
 
-import (
-	"errors"
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/obs"
-)
+import "fmt"
 
 // Kind selects a scheduling policy.
 type Kind int
 
 // The supported policies.
 const (
-	// Dynamic mimics OpenMP's dynamic schedule: a shared atomic cursor hands
-	// out batches in order.
+	// Dynamic mimics OpenMP's dynamic schedule: one shared FIFO hands out
+	// batches in order.
 	Dynamic Kind = iota
-	// WorkStealing splits the iteration space evenly; idle workers steal
-	// batches from the remaining work of others, round-robin.
+	// WorkStealing pins batches to workers like Static; idle workers steal
+	// the oldest batch from others' backlogs, round-robin.
 	WorkStealing
-	// Static gives each worker one contiguous share, no load balancing.
+	// Static pins every batch to one worker, no load balancing.
 	Static
 )
 
@@ -62,27 +60,6 @@ func ParseKind(s string) (Kind, error) {
 // DefaultBatchSize is Giraffe's default batch size.
 const DefaultBatchSize = 512
 
-// Config parameterises a parallel run.
-type Config struct {
-	Kind      Kind
-	Threads   int // ≤0 means GOMAXPROCS
-	BatchSize int // ≤0 means DefaultBatchSize
-	// Obs, when non-nil, receives the scheduler's claim/steal counters
-	// (sched_claims_total, sched_steals_total) live as batches are claimed.
-	Obs *obs.Registry
-}
-
-// normalize fills defaults.
-func (c Config) normalize() Config {
-	if c.Threads <= 0 {
-		c.Threads = runtime.GOMAXPROCS(0)
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = DefaultBatchSize
-	}
-	return c
-}
-
 // Stats reports per-run scheduling behaviour.
 type Stats struct {
 	// Processed[w] counts items executed by worker w.
@@ -108,180 +85,4 @@ func (s Stats) Imbalance() float64 {
 	}
 	mean := float64(sum) / float64(len(s.Processed))
 	return float64(max) / mean
-}
-
-// Run executes fn(worker, index) for every index in [0, n), distributing
-// work across cfg.Threads goroutines under the configured policy. fn must be
-// safe for concurrent invocation with distinct worker ids. Run blocks until
-// all items complete.
-func Run(cfg Config, n int, fn func(worker, index int)) (Stats, error) {
-	return RunBatches(cfg, n, func(worker, start, end int) {
-		for i := start; i < end; i++ {
-			fn(worker, i)
-		}
-	})
-}
-
-// RunBatches is Run at batch granularity: fn receives each claimed batch as
-// a half-open index range [start, end). Mappers use this to set up per-batch
-// state (Giraffe re-creates its CachedGBWT per batch, which is why the
-// initial-capacity tuning parameter exists).
-func RunBatches(cfg Config, n int, fn func(worker, start, end int)) (Stats, error) {
-	if n < 0 {
-		return Stats{}, errors.New("sched: negative item count")
-	}
-	cfg = cfg.normalize()
-	if cfg.Threads > n && n > 0 {
-		cfg.Threads = n
-	}
-	if cfg.Threads < 1 {
-		cfg.Threads = 1
-	}
-	stats := Stats{Processed: make([]int64, cfg.Threads)}
-	if n == 0 {
-		return stats, nil
-	}
-	if cfg.Obs != nil {
-		// Live claim counting wraps fn; the steal total is mirrored after
-		// the run (batch runs are bounded, so post-hoc is fresh enough).
-		// Declaring the worker population lets scrapes derive the claim
-		// imbalance and steal-share gauges from the per-shard counters.
-		cfg.Obs.SetWorkerShards(cfg.Threads)
-		claims := cfg.Obs.Counter(obs.MetricSchedClaims)
-		inner := fn
-		fn = func(worker, start, end int) {
-			claims.Inc(worker)
-			inner(worker, start, end)
-		}
-		defer func() {
-			cfg.Obs.Counter(obs.MetricSchedSteals).Add(0, atomic.LoadInt64(&stats.Steals))
-		}()
-	}
-	switch cfg.Kind {
-	case Dynamic:
-		runDynamic(cfg, n, fn, &stats)
-	case WorkStealing:
-		runWorkStealing(cfg, n, fn, &stats)
-	case Static:
-		runStatic(cfg, n, fn, &stats)
-	default:
-		return Stats{}, fmt.Errorf("sched: unknown scheduler kind %d", cfg.Kind)
-	}
-	return stats, nil
-}
-
-// runDynamic hands out batches from a shared atomic cursor.
-func runDynamic(cfg Config, n int, fn func(worker, start, end int), stats *Stats) {
-	var cursor int64
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Threads; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				start := int(atomic.AddInt64(&cursor, int64(cfg.BatchSize))) - cfg.BatchSize
-				if start >= n {
-					return
-				}
-				end := start + cfg.BatchSize
-				if end > n {
-					end = n
-				}
-				fn(worker, start, end)
-				atomic.AddInt64(&stats.Processed[worker], int64(end-start))
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// runStatic gives worker w the contiguous range [w*n/T, (w+1)*n/T),
-// delivered in BatchSize chunks so per-batch state costs match the dynamic
-// policies.
-func runStatic(cfg Config, n int, fn func(worker, start, end int), stats *Stats) {
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Threads; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			start := worker * n / cfg.Threads
-			end := (worker + 1) * n / cfg.Threads
-			for b := start; b < end; b += cfg.BatchSize {
-				be := b + cfg.BatchSize
-				if be > end {
-					be = end
-				}
-				fn(worker, b, be)
-			}
-			atomic.AddInt64(&stats.Processed[worker], int64(end-start))
-		}(w)
-	}
-	wg.Wait()
-}
-
-// runWorkStealing splits [0,n) evenly into per-worker regions, each consumed
-// in batch-size chunks through an atomic cursor; exhausted workers steal
-// chunks from victims' cursors round-robin — the paper's lightweight
-// scheduler (§VII-B).
-func runWorkStealing(cfg Config, n int, fn func(worker, start, end int), stats *Stats) {
-	t := cfg.Threads
-	// Region bounds and cursors. cursor[w] is the next unclaimed index in
-	// worker w's region.
-	cursors := make([]int64, t)
-	hi := make([]int64, t)
-	for w := 0; w < t; w++ {
-		cursors[w] = int64(w * n / t)
-		hi[w] = int64((w + 1) * n / t)
-	}
-	// grab claims up to batch items from region w via atomic RMW. An
-	// exhausted region answers with a plain load so steal probes against
-	// drained victims don't pay (or cause) RMW cache-line traffic, and a
-	// raced-past cursor is clamped back to hi so it cannot inflate by one
-	// batch per probe for the rest of the run.
-	grab := func(w int) (start, end int, ok bool) {
-		h := hi[w]
-		if atomic.LoadInt64(&cursors[w]) >= h {
-			return 0, 0, false
-		}
-		s := atomic.AddInt64(&cursors[w], int64(cfg.BatchSize)) - int64(cfg.BatchSize)
-		if s >= h {
-			atomic.CompareAndSwapInt64(&cursors[w], s+int64(cfg.BatchSize), h)
-			return 0, 0, false
-		}
-		e := s + int64(cfg.BatchSize)
-		if e > h {
-			e = h
-		}
-		return int(s), int(e), true
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < t; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			// Own region first.
-			for {
-				start, end, ok := grab(worker)
-				if !ok {
-					break
-				}
-				fn(worker, start, end)
-				atomic.AddInt64(&stats.Processed[worker], int64(end-start))
-			}
-			// Steal round-robin from the next workers.
-			for off := 1; off < t; off++ {
-				victim := (worker + off) % t
-				for {
-					start, end, ok := grab(victim)
-					if !ok {
-						break
-					}
-					atomic.AddInt64(&stats.Steals, 1)
-					fn(worker, start, end)
-					atomic.AddInt64(&stats.Processed[worker], int64(end-start))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }

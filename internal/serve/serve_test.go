@@ -56,6 +56,9 @@ func (f *fakeMapper) MapBatchUntil(worker int, recs []seeds.ReadSeeds, base int,
 	return gbwt.CacheStats{}, mapped
 }
 
+// TryPublishEpoch implements BatchMapper; the fake has no epoch cache.
+func (f *fakeMapper) TryPublishEpoch(int) bool { return false }
+
 // harness builds a server over a fake-mapper session and an identity
 // extractor, returning the test server and the registry for counter
 // assertions.
